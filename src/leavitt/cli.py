@@ -17,7 +17,6 @@ from .division import parse_algebra, quaternion_algebra
 from .errors import LeavittError, ParseError, PreconditionError, UsageError
 from .fields import parse_field
 from .probes import (
-    SpanEchelon,
     chain_candidates,
     composition_probe,
     endomorphism_probe,
@@ -30,9 +29,6 @@ from .representations import (
     linear_example_module,
     mantese_module,
     rangaswamy_module,
-    rangaswamy_module_infinite,
-    rangaswamy_module_regular,
-    vec_add_into,
     verify_representation,
 )
 from .schreier import SchreierStaircase, lewin_schreier_rank, not_open_up_to
@@ -218,11 +214,6 @@ def _build_module(args, graph, field):
         if delta.is_vertex or delta.source != delta.target:
             raise ParseError(f"{args.period!r} is not a closed nonempty path")
         q = _parse_poly(field, args.poly)
-        junctions = {a.source for a in delta.arrows}
-        if graph.classify_vertex(delta.source) == "infinite_emitter":
-            return rangaswamy_module_infinite(graph, field, delta, q, family_cap=cap)
-        if all(graph.is_regular(u) for u in junctions):
-            return rangaswamy_module_regular(graph, field, delta, q, family_cap=cap)
         return rangaswamy_module(graph, field, delta, q, family_cap=cap)
     if kind == "mantese":
         weights = _parse_weights(graph, field, args.weights)

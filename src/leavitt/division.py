@@ -387,21 +387,7 @@ def quaternion_algebra(field, c, d):
     put("i", "k", "j", -c)
     alg = StructureAlgebra(field, labels, "1", table, name=f"quat({c},{d})")
     alg.kind = "quaternion"
-    alg.params = (c, d)
     return alg
-
-
-def quaternion_norm(x):
-    """t^2 + c u^2 + d v^2 + c d w^2 on coordinates (t, u, v, w)."""
-    alg = x.algebra
-    if getattr(alg, "kind", None) != "quaternion":
-        raise PreconditionError("norm is defined on quaternion algebras")
-    c, d = alg.params
-    t = x.coord("1")
-    u = x.coord("i")
-    v = x.coord("j")
-    w = x.coord("k")
-    return t * t + c * u * u + d * v * v + c * d * w * w
 
 
 def parse_algebra(field, text):

@@ -12,72 +12,8 @@ import random
 
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
-from .representations import vec_add_into
+from .linalg import SpanEchelon, vec_add_into
 from .schreier import SchreierStaircase, element_to_ghost
-
-
-# -- sparse echelon with combination tracking -----------------------------------
-
-
-class SpanEchelon:
-    """Row echelon over sparsely supported vectors.
-
-    Rows pivot on their largest key under sort_key and are normalized to
-    leading coefficient one.  Each stored row carries a tag vector over
-    caller chosen keys; reduce and insert accumulate the matching
-    combination so that input = remainder + combination of raw inserts.
-    """
-
-    def __init__(self, field, sort_key):
-        self.field = field
-        self.sort_key = sort_key
-        self.rows = {}
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def pivots(self):
-        return sorted(self.rows, key=self.sort_key)
-
-    def reduce(self, vec):
-        """Return (remainder, combo) with vec = remainder + combo of raw rows."""
-        rem = dict(vec)
-        combo = {}
-        while True:
-            hit = None
-            for key in rem:
-                if key in self.rows:
-                    if hit is None or self.sort_key(key) > self.sort_key(hit):
-                        hit = key
-            if hit is None:
-                return rem, combo
-            c = rem[hit]
-            rvec, rtag = self.rows[hit]
-            vec_add_into(self.field, rem, rvec, -c)
-            vec_add_into(self.field, combo, rtag, c)
-
-    def insert(self, vec, tag=None):
-        """Reduce vec and store the remainder if it is nonzero.
-
-        Returns (remainder, combo, pivot); pivot is None when vec was
-        already in the span.  tag names this raw row in later combos.
-        """
-        rem, combo = self.reduce(vec)
-        if not rem:
-            return rem, combo, None
-        pivot = max(rem, key=self.sort_key)
-        lead = rem[pivot]
-        stored = {k: v / lead for k, v in rem.items()}
-        rtag = dict(tag or {})
-        vec_add_into(self.field, rtag, combo, -self.field.one)
-        rtag = {k: v / lead for k, v in rtag.items()}
-        self.rows[pivot] = (stored, rtag)
-        return rem, combo, pivot
-
-    def contains(self, vec):
-        rem, _ = self.reduce(vec)
-        return not rem
 
 
 # -- op adapters --------------------------------------------------------------
@@ -179,16 +115,6 @@ def staircase_ops(staircase, variable_degree=None):
         staircase.degree,
         variables,
     )
-
-
-def _make_ops(target, window=None, variable_degree=None):
-    if isinstance(target, ModuleOps):
-        return target
-    if isinstance(target, SchreierStaircase):
-        return staircase_ops(target, variable_degree)
-    if window is None:
-        raise PreconditionError("a prefix module probe needs a degree window")
-    return prefix_ops(target, window, variable_degree)
 
 
 # -- spans ------------------------------------------------------------------------
@@ -606,13 +532,11 @@ def endomorphism_probe(target, degree=None, window=None):
                 overflow = True
                 continue
             sym_img = None if sym_i is None else _sym_apply(field, fn, sym_i)
-            rem, combo = ech.reduce(img)
-            if rem:
-                idx = len(rows)
+            _, combo, piv = ech.insert(img, {len(rows): one})
+            if piv is not None:
                 rows.append(img)
                 syms.append(sym_img)
-                ech.insert(img, {idx: one})
-                queue.append(idx)
+                queue.append(len(rows) - 1)
                 continue
             if sym_img is None:
                 continue
@@ -629,26 +553,9 @@ def endomorphism_probe(target, degree=None, window=None):
                         del eq[lab]
             for var_row in eq.values():
                 eq_count += 1
-                constraints.insert(dict(var_row))
-    # Solve: back substitute the constraint echelon, then read the kernel
-    # off its free variables.
-    rref = {}
-    for pivot in sorted(constraints.rows, key=var_key, reverse=True):
-        row = dict(constraints.rows[pivot][0])
-        for p2, (r2, _) in rref.items():
-            c = row.get(p2)
-            if c:
-                vec_add_into(field, row, r2, -c)
-        rref[pivot] = (row, None)
-    free_vars = [v for v in mod.variables if v not in rref]
-    basis = []
-    for f in free_vars:
-        vec = {f: one}
-        for p, (row, _) in rref.items():
-            c = row.get(f)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
+                constraints.insert(var_row)
+    free_vars = [v for v in mod.variables if v not in constraints.rows]
+    basis = constraints.kernel(mod.variables)
     report = EndomorphismReport(field, free_vars, basis, len(basis))
     report.overflowed = overflow
     report.equations = eq_count
@@ -681,6 +588,17 @@ def endomorphism_probe(target, degree=None, window=None):
 # -- annihilators -------------------------------------------------------------------
 
 
+def _ghost_word_apply(space, beta, vec):
+    """The image of a module vector under the ghost word beta*."""
+    if beta.is_vertex:
+        return space.vertex_apply(beta.source, vec)
+    for b in beta.arrows:
+        vec = space.ghost_apply(b, vec)
+        if not vec:
+            break
+    return vec
+
+
 def annihilator_staircase(space, vec, degree, family_cap=None):
     """Ghost side annihilator of a module vector, echelonized by leading word.
 
@@ -695,14 +613,7 @@ def annihilator_staircase(space, vec, degree, family_cap=None):
     ech = SpanEchelon(field, space.label_sort_key)
     kernel = []
     for beta in sorted(space.graph.all_paths(degree, cap), key=ghost_sort_key):
-        img = dict(vec)
-        if beta.is_vertex:
-            img = space.vertex_apply(beta.source, img)
-        else:
-            for b in beta.arrows:
-                img = space.ghost_apply(b, img)
-                if not img:
-                    break
+        img = _ghost_word_apply(space, beta, vec)
         rem, combo, piv = ech.insert(img, {beta: field.one})
         if piv is None:
             k = {beta: field.one}
@@ -718,15 +629,7 @@ def annihilator_member_fn(space, vec):
         ghost = element_to_ghost(element)
         acc = {}
         for beta, coeff in ghost.items():
-            img = dict(vec)
-            if beta.is_vertex:
-                img = space.vertex_apply(beta.source, img)
-            else:
-                for b in beta.arrows:
-                    img = space.ghost_apply(b, img)
-                    if not img:
-                        break
-            vec_add_into(space.field, acc, img, coeff)
+            vec_add_into(space.field, acc, _ghost_word_apply(space, beta, vec), coeff)
         return not acc
 
     return member

@@ -8,31 +8,11 @@ which labels are identified away, is what distinguishes the constructions.
 Vectors over the basis are plain dicts from labels to scalars.
 """
 
-from .algebra import Element
 from .digraph import CycleTail, Path, ghost_sort_key
 from .division import check_poly, is_irreducible
 from .errors import InvariantError, PreconditionError
-
-
-# -- vector helpers ----------------------------------------------------------
-
-
-def vec_add_into(field, acc, vec, scalar):
-    if not scalar:
-        return acc
-    for key, coeff in vec.items():
-        val = acc.get(key, field.zero) + coeff * scalar
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
-    return acc
-
-
-def vec_scale(field, vec, scalar):
-    out = {}
-    vec_add_into(field, out, vec, scalar)
-    return out
+from .linalg import SpanEchelon, vec_add_into
+from .schreier import ghost_to_element
 
 
 class PrefixModule:
@@ -357,16 +337,6 @@ class ChenModule(PrefixModule):
             prev = (j - 1) % len(self.cycle_slots)
             return [(mu.drop_last(), ("rot", prev), self.field.one)]
         return [(mu.drop_last(), ("off", j - 1), self.field.one)]
-
-    def word_of_label(self, label):
-        """Reconstruct the infinite word a label stands for."""
-        from .digraph import InfiniteWord
-
-        mu, slot = label
-        kind, j = slot
-        if kind == "rot":
-            return InfiniteWord(mu, CycleTail(self.cycle_slots[j]))
-        return InfiniteWord(mu, self.tail.shifted(j - self.tail.offset))
 
 
 def chen_module(graph, field, word, family_cap=2):
@@ -763,39 +733,19 @@ def linear_example_module(graph, field, a, b, twist="linear", family_cap=2):
 
 def _generated_subalgebra_dim(algebra, elements):
     """Dimension of the unital subalgebra generated by the given elements."""
-    field = algebra.field
     rank = {label: i for i, label in enumerate(algebra.labels)}
-    rows = {}
-
-    def insert(coords):
-        vec = dict(coords)
-        while vec:
-            pivot = max(vec, key=rank.get)
-            row = rows.get(pivot)
-            if row is None:
-                lead = vec[pivot]
-                rows[pivot] = {k: c / lead for k, c in vec.items()}
-                return True
-            c = vec[pivot]
-            for k, rc in row.items():
-                acc = vec.get(k, field.zero) - c * rc
-                if acc:
-                    vec[k] = acc
-                else:
-                    vec.pop(k, None)
-        return False
-
-    insert(algebra.one.coords)
+    ech = SpanEchelon(algebra.field, rank.get)
+    ech.insert(algebra.one.coords)
     frontier = [algebra.one]
-    while frontier and len(rows) < algebra.dim:
+    while frontier and ech.rank < algebra.dim:
         nxt = []
         for x in frontier:
             for g in elements:
                 y = x * g
-                if y.coords and insert(y.coords):
+                if ech.insert(y.coords)[2] is not None:
                     nxt.append(y)
         frontier = nxt
-    return len(rows)
+    return ech.rank
 
 
 class HilbertModule(PrefixModule):
@@ -1020,7 +970,7 @@ def mantese_rangaswamy_presentation(
         return out
 
     rank = {label: i for i, label in enumerate(algebra.labels)}
-    rows = {}
+    ech = SpanEchelon(field, rank.get)
     pivot_products = set()
     kernel = []
     products = [Path.vertex(v)]
@@ -1036,36 +986,19 @@ def mantese_rangaswamy_presentation(
         products.extend(nxt)
         frontier = nxt
     for nu in products:
-        vec = dict(ghost_image(nu).coords)
-        combo = {nu: field.one}
-        while vec:
-            pivot = max(vec, key=rank.get)
-            row = rows.get(pivot)
-            if row is None:
-                lead = vec[pivot]
-                inv = field.one / lead
-                rows[pivot] = (
-                    {k: c * inv for k, c in vec.items()},
-                    {p: c * inv for p, c in combo.items()},
-                )
-                pivot_products.add(nu)
-                break
-            rvec, rcombo = row
-            c = vec[pivot]
-            vec_add_into(field, vec, rvec, -c)
-            vec_add_into(field, combo, rcombo, -c)
+        _, combo, pivot = ech.insert(ghost_image(nu).coords, {nu: field.one})
+        if pivot is not None:
+            pivot_products.add(nu)
         else:
-            kernel.append(combo)
+            k = {nu: field.one}
+            vec_add_into(field, k, combo, -field.one)
+            kernel.append(k)
 
-    def ghost_element(vec):
-        terms = {(Path.vertex(beta.target), beta): c for beta, c in vec.items()}
-        return Element(graph, field, terms)
-
-    generators = [ghost_element(vec) for vec in kernel]
+    generators = [ghost_to_element(graph, field, vec) for vec in kernel]
     excluded = []
     for p in graph.all_paths(degree, family_cap):
         if _split_period_product(periods_by_first, v, p) is None:
-            excluded.append(ghost_element({p: field.one}))
+            excluded.append(ghost_to_element(graph, field, {p: field.one}))
 
     def complement(path):
         split = _split_period_product(periods_by_first, v, path)

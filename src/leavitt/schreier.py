@@ -13,6 +13,7 @@ which is what makes the free generator extraction below work.
 from .algebra import Element
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
+from .linalg import SpanEchelon, vec_add_into
 
 
 def element_to_ghost(element):
@@ -30,15 +31,6 @@ def ghost_to_element(graph, field, vec):
     for beta, coeff in vec.items():
         terms[(Path.vertex(beta.target), beta)] = coeff
     return Element(graph, field, terms)
-
-
-def _vec_add_into(field, acc, vec, scalar):
-    for key, coeff in vec.items():
-        val = acc.get(key, field.zero) + coeff * scalar
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
 
 
 def _append_path(beta, u):
@@ -72,7 +64,8 @@ class SchreierStaircase:
             if not vec:
                 continue
             self.generators.append(vec)
-        self.rows = {}
+        self._echelon = SpanEchelon(field, ghost_sort_key)
+        self.rows = self._echelon.rows
         self._build()
         self._universe = graph.all_paths(degree, family_cap)
         pivots = set(self.rows)
@@ -101,21 +94,12 @@ class SchreierStaircase:
                     for beta, coeff in vec.items():
                         ext = _append_path(beta, u)
                         if ext is not None:
-                            _vec_add_into(self.field, row, {ext: coeff}, self.field.one)
+                            vec_add_into(self.field, row, {ext: coeff}, self.field.one)
                     if row:
                         self._insert(row)
 
     def _insert(self, row):
-        row = dict(row)
-        while row:
-            pivot = max(row, key=ghost_sort_key)
-            existing = self.rows.get(pivot)
-            if existing is None:
-                lead = row[pivot]
-                row = {k: v / lead for k, v in row.items()}
-                self.rows[pivot] = row
-                return
-            _vec_add_into(self.field, row, existing, -row[pivot])
+        self._echelon.insert(row)
 
     # -- reduction and membership ----------------------------------------
 
@@ -123,20 +107,7 @@ class SchreierStaircase:
         """The normal form of a ghost vector against the staircase rows."""
         if isinstance(vec, Element):
             vec = element_to_ghost(vec)
-        out = dict(vec)
-        while True:
-            hit = None
-            for key in out:
-                if key in self.rows:
-                    if hit is None or ghost_sort_key(key) > ghost_sort_key(hit):
-                        hit = key
-            if hit is None:
-                return out
-            _vec_add_into(self.field, out, self.rows[hit], -out[hit])
-
-    def coords(self, vec):
-        """Coordinates of vec modulo the ideal, over the coset basis."""
-        return self.reduce(vec)
+        return self._echelon.reduce(vec)[0]
 
     def membership(self, vec):
         """"in" is always sound; "out" is only claimed once stabilized."""
@@ -183,7 +154,7 @@ class SchreierStaircase:
         for pivot in corners:
             rem = self.reduce({pivot: self.field.one})
             vec = {pivot: self.field.one}
-            _vec_add_into(self.field, vec, rem, -self.field.one)
+            vec_add_into(self.field, vec, rem, -self.field.one)
             out.append(ghost_to_element(self.graph, self.field, vec))
         return out
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from leavitt import (
     Path,
@@ -21,6 +22,7 @@ from leavitt import (
     mantese_module,
     mantese_rangaswamy_presentation,
     parse_element,
+    parse_field,
     parse_path,
     periodic_word,
     quaternion_algebra,
@@ -28,10 +30,9 @@ from leavitt import (
     simplicity_probe,
     thue_morse_word,
 )
-from leavitt.probes import SpanEchelon
-from leavitt.representations import vec_add_into
+from leavitt.linalg import SpanEchelon, vec_add_into
 
-from oracles import paths_by_target, random_ghost_element
+from oracles import DenseSpan, paths_by_target, random_ghost_element
 from test_schreier import QUAT_GENS
 
 
@@ -70,6 +71,78 @@ def test_span_echelon_reduce_is_idempotent(q):
     rem2, _ = ech.reduce(rem)
     assert rem == rem2
     assert ech.rank == 2
+
+
+@st.composite
+def sparse_systems(draw):
+    """A field, a key count n, rows and probe vectors over keys 0..n-1, and
+    a pivot order on the keys."""
+    field = parse_field(draw(st.sampled_from(["q", "gf:3", "gf:7"])))
+    n = draw(st.integers(1, 6))
+    vectors = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=n).map(
+        lambda d: {k: field.of(c) for k, c in d.items() if field.of(c)}
+    )
+    rows = draw(st.lists(vectors, max_size=8))
+    probes = draw(st.lists(vectors, max_size=4))
+    order = draw(st.permutations(range(n)))
+    return field, n, rows, probes, order
+
+
+def _dot(field, row, vec):
+    total = field.zero
+    for k, c in row.items():
+        total = total + c * vec.get(k, field.zero)
+    return total
+
+
+@given(sparse_systems())
+def test_span_echelon_kernel_solves_the_system(system):
+    field, n, rows, _, order = system
+    ech = SpanEchelon(field, order.index)
+    dense = DenseSpan(field)
+    for row in rows:
+        ech.insert(row)
+        dense.insert(row)
+    kernel = ech.kernel(list(range(n)))
+    assert ech.rank == dense.rank
+    assert len(kernel) == n - ech.rank
+    for z in kernel:
+        assert all(not _dot(field, row, z) for row in rows)
+    independent = DenseSpan(field)
+    assert all(independent.insert(z) for z in kernel)
+
+
+def test_span_echelon_kernel_substitutes_later_pivots(q):
+    # The first row's tail holds x1, which only becomes a pivot with the
+    # second row, so x2 = -x1 = x0 needs the second row substituted in.
+    keys = ["x0", "x1", "x2"]
+    ech = SpanEchelon(q, keys.index)
+    ech.insert({"x2": q.one, "x1": q.one})
+    ech.insert({"x1": q.one, "x0": q.one})
+    assert ech.kernel(keys) == [{"x0": q.one, "x1": -q.one, "x2": q.one}]
+
+
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_span_echelon_agrees_with_dense_span(system, rng):
+    field, n, rows, probes, order = system
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    ech = SpanEchelon(field, order.index)
+    other = SpanEchelon(field, order.index)
+    dense = DenseSpan(field)
+    for row in rows:
+        ech.insert(row)
+        dense.insert(row)
+    for row in shuffled:
+        other.insert(row)
+    assert ech.rank == other.rank == dense.rank
+    sums = [vec_add_into(field, dict(a), b, field.of(2)) for a, b in zip(rows, shuffled)]
+    for vec in probes + rows + sums:
+        rem, _ = ech.reduce(vec)
+        assert ech.contains(vec) == dense.member(vec) == (not rem)
+        assert not set(rem) & set(ech.rows)
+        assert rem == other.reduce(vec)[0]
+        assert dense.member(vec_add_into(field, dict(vec), rem, -field.one))
 
 
 # -- closures ---------------------------------------------------------------------
