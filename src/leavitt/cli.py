@@ -41,6 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count_from(low):
+    """argparse type: an integer no smaller than low."""
+
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 class Report:
     """Ordered key-value report with two renderings.
 
@@ -405,11 +417,11 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--graph", metavar="FILE", help="graph description file")
     common.add_argument("--field", default="q", help="scalar field: q or gf:P")
-    common.add_argument("--degree", type=int, default=6, metavar="N", help="degree bound")
-    common.add_argument("--samples", type=int, default=12, metavar="N", help="randomized sample count")
+    common.add_argument("--degree", type=_count_from(0), default=6, metavar="N", help="degree bound")
+    common.add_argument("--samples", type=_count_from(1), default=12, metavar="N", help="randomized sample count")
     common.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
     common.add_argument("--format", choices=("text", "kv"), default="text", help="report format")
-    common.add_argument("--family-cap", type=int, default=2, metavar="N", help="arrow family truncation")
+    common.add_argument("--family-cap", type=_count_from(0), default=2, metavar="N", help="arrow family truncation")
 
     parser = _Parser(prog="leavitt", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

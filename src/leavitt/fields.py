@@ -98,14 +98,28 @@ class GFScalar:
         return str(self.residue)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; moduli from _MR_LIMIT up are refused."""
+    if p >= _MR_LIMIT:
+        raise PreconditionError(f"modulus {p} is too large to certify as prime")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    d = p - 1
+    while d % 2 == 0:
+        d //= 2
+    for b in _MR_BASES:
+        # square b^d up towards b^(p-1); a prime sees 1 at once or -1 first
+        x, e = pow(b, d, p), d
+        while e != p - 1 and x != 1 and x != p - 1:
+            x, e = x * x % p, 2 * e
+        if x != p - 1 and e != d:
             return False
-        d += 1
     return True
 
 

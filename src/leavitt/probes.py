@@ -9,6 +9,7 @@ form, together with whether its multiplication table closed.
 """
 
 import random
+from collections import deque
 
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
@@ -28,14 +29,13 @@ class ModuleOps:
     what every probe below explores.
     """
 
-    def __init__(self, field, ops, generator, sort_key, degree_of, window, variables):
+    def __init__(self, field, ops, generator, sort_key, degree_of, window):
         self.field = field
         self.ops = ops
         self.generator = generator
         self.sort_key = sort_key
         self.degree_of = degree_of
         self.window = window
-        self.variables = variables
 
     def apply(self, fn, vec):
         out = {}
@@ -47,7 +47,7 @@ class ModuleOps:
         return out
 
 
-def prefix_ops(space, window, variable_degree=None):
+def prefix_ops(space, window):
     """Operators of a prefix module: vertices, arrows, ghost arrows."""
 
     def guard(img):
@@ -63,8 +63,6 @@ def prefix_ops(space, window, variable_degree=None):
         ops.append((str(a), lambda lab, a=a: guard(space.act_arrow(a, lab))))
     for a in arrows:
         ops.append((f"{a}*", lambda lab, a=a: guard(space.act_ghost(a, lab))))
-    vdeg = window if variable_degree is None else variable_degree
-    variables = space.labels(vdeg)
     return ModuleOps(
         space.field,
         ops,
@@ -72,11 +70,10 @@ def prefix_ops(space, window, variable_degree=None):
         space.label_sort_key,
         space.degree,
         window,
-        variables,
     )
 
 
-def staircase_ops(staircase, variable_degree=None):
+def staircase_ops(staircase):
     """Operators of the quotient by a staircase ideal, a ghost side module."""
     graph, field = staircase.graph, staircase.field
 
@@ -104,8 +101,6 @@ def staircase_ops(staircase, variable_degree=None):
     gen = staircase.reduce(gen)
     if not gen:
         raise PreconditionError("the unit maps to zero in this quotient")
-    vdeg = staircase.degree if variable_degree is None else variable_degree
-    variables = [p for p in staircase.coset_basis() if len(p) <= vdeg]
     return ModuleOps(
         field,
         ops,
@@ -113,7 +108,6 @@ def staircase_ops(staircase, variable_degree=None):
         ghost_sort_key,
         len,
         staircase.degree,
-        variables,
     )
 
 
@@ -121,53 +115,47 @@ def staircase_ops(staircase, variable_degree=None):
 
 
 class Closure:
-    """The reachable span of some seed vectors inside a degree window."""
+    """The reachable span of some seed vectors inside a degree window.
 
-    def __init__(self, mod, rows, echelon, overflowed):
+    A closure starts empty and grows: extend inserts new seeds and walks
+    the operators from the rows they add, so the rows already walked are
+    never walked again.
+    """
+
+    def __init__(self, mod):
         self.mod = mod
-        self.rows = rows
-        self.echelon = echelon
-        self.overflowed = overflowed
+        self.echelon = SpanEchelon(mod.field, mod.sort_key)
+        self.overflowed = False
 
     @property
     def dim(self):
         return self.echelon.rank
 
-    @property
-    def complete(self):
-        """Whether the closure is the entire submodule, not just a window of it."""
-        return not self.overflowed
-
     def contains(self, vec):
         return self.echelon.contains(vec)
 
+    def extend(self, seeds):
+        """Add the seeds and everything the operators reach from them."""
+        mod, ech = self.mod, self.echelon
+        queue = deque()
+        for seed in seeds:
+            if any(mod.degree_of(l) > mod.window for l in seed):
+                raise PreconditionError("seed vector does not fit in the window")
+            if ech.insert(seed)[2] is not None:
+                queue.append(dict(seed))
+        while queue:
+            row = queue.popleft()
+            for _, fn in mod.ops:
+                img = mod.apply(fn, row)
+                if img is None:
+                    self.overflowed = True
+                elif img and ech.insert(img)[2] is not None:
+                    queue.append(img)
+        return self
+
 
 def span_closure(mod, seeds):
-    rows = []
-    ech = SpanEchelon(mod.field, mod.sort_key)
-    overflow = False
-    queue = []
-    for seed in seeds:
-        if any(mod.degree_of(l) > mod.window for l in seed):
-            raise PreconditionError("seed vector does not fit in the window")
-        _, _, piv = ech.insert(seed, {len(rows): mod.field.one})
-        if piv is not None:
-            rows.append(dict(seed))
-            queue.append(len(rows) - 1)
-    while queue:
-        i = queue.pop(0)
-        for _, fn in mod.ops:
-            img = mod.apply(fn, rows[i])
-            if img is None:
-                overflow = True
-                continue
-            if not img:
-                continue
-            _, _, piv = ech.insert(img, {len(rows): mod.field.one})
-            if piv is not None:
-                rows.append(img)
-                queue.append(len(rows) - 1)
-    return Closure(mod, rows, ech, overflow)
+    return Closure(mod).extend(seeds)
 
 
 def cyclic_submodule(space, seeds, window):
@@ -207,14 +195,7 @@ def simplicity_probe(space, window, samples=12, seed=0):
     candidates = []
     for _ in range(samples):
         picks = rng.sample(labels, min(len(labels), rng.randint(1, 3)))
-        m = {}
-        for lab in picks:
-            vec_add_into(
-                space.field,
-                m,
-                {lab: space.field.one},
-                _random_nonzero_scalar(space.field, rng),
-            )
+        m = {lab: _random_nonzero_scalar(space.field, rng) for lab in picks}
         if m:
             candidates.append(m)
     low = [
@@ -232,7 +213,7 @@ def simplicity_probe(space, window, samples=12, seed=0):
         if sub.contains(gen):
             continue
         m_deg = max(space.degree(lab) for lab in m)
-        certified = (sub.complete and not family_capped) or (
+        certified = (not sub.overflowed and not family_capped) or (
             space.free_prepend and window >= gen_deg + m_deg
         )
         if certified:
@@ -346,59 +327,50 @@ def composition_probe(space, candidates, window):
     """Verify a chain of cyclic submodules and type its factors.
 
     candidates are vectors m_1, ..., m_k; step i examines the closure of
-    the first i of them.  A factor is typed S_u when the vertex u fixes
-    m_i and every active ghost arrow sends m_i into the previous step,
-    which pins the factor as the boundary simple at u.
+    the first i of them, grown from the previous step by m_i.  A factor is
+    typed S_u when the vertex u fixes m_i and every active ghost arrow
+    sends m_i into the previous step, which pins the factor as the
+    boundary simple at u.
     """
-    mod = prefix_ops(space, window)
-    report = {
-        "length": len(candidates),
-        "strict": True,
-        "factors": [],
-        "overflowed": False,
-        "window": window,
-        "family_capped": bool(space.graph.family_names),
-    }
-    prev = SpanEchelon(space.field, space.label_sort_key)
-    prev_dim = 0
-    for i, m in enumerate(candidates):
-        rem, _ = prev.reduce(m)
-        strict = bool(rem)
-        cl = span_closure(mod, candidates[: i + 1])
-        report["overflowed"] = report["overflowed"] or cl.overflowed
-        if cl.dim <= prev_dim:
-            strict = False
-        factor = {
-            "generator_str": space.vector_str(m),
-            "strict": strict,
-            "dim_jump": cl.dim - prev_dim,
-            "type": "other",
-            "vertex": None,
-        }
-        if strict and ghost_annihilated(space, m, modulo=prev):
+    cl = Closure(prefix_ops(space, window))
+    factors = []
+    for m in candidates:
+        prev_dim = cl.dim
+        strict = not cl.contains(m)
+        vertex = None
+        if strict and ghost_annihilated(space, m, modulo=cl.echelon):
             for u in sorted(space.graph.vertices):
                 fixed = dict(m)
                 vec_add_into(space.field, fixed, space.vertex_apply(u, m), -space.field.one)
-                frem, _ = prev.reduce(fixed)
-                if not frem:
-                    factor["type"] = f"S_{u}"
-                    factor["vertex"] = u
+                if cl.contains(fixed):
+                    vertex = u
                     break
-        report["factors"].append(factor)
-        report["strict"] = report["strict"] and strict
-        prev = cl.echelon
-        prev_dim = cl.dim
-    last = prev
-    exhausted = -1
-    for d in range(window + 1):
-        layer = [lab for lab in space.labels(d) if space.degree(lab) == d]
-        if all(last.contains({lab: space.field.one}) for lab in layer):
-            exhausted = d
-        else:
+        cl.extend([m])
+        factors.append(
+            {
+                "generator_str": space.vector_str(m),
+                "strict": strict,
+                "dim_jump": cl.dim - prev_dim,
+                "type": "other" if vertex is None else f"S_{vertex}",
+                "vertex": vertex,
+            }
+        )
+    # labels come sorted by degree, so the first one missed ends the run
+    exhausted = window
+    for lab in space.labels(window):
+        if not cl.contains({lab: space.field.one}):
+            exhausted = space.degree(lab) - 1
             break
-    report["exhausts_degree"] = exhausted
-    report["dim"] = prev_dim
-    return report
+    return {
+        "length": len(candidates),
+        "strict": all(f["strict"] for f in factors),
+        "factors": factors,
+        "overflowed": cl.overflowed,
+        "window": window,
+        "family_capped": bool(space.graph.family_names),
+        "exhausts_degree": exhausted,
+        "dim": cl.dim,
+    }
 
 
 # -- endomorphisms ------------------------------------------------------------------
@@ -484,47 +456,41 @@ class EndomorphismReport:
         return tuple(out.get(k, self.field.zero) for k in range(self.dimension))
 
 
-def endomorphism_probe(target, degree=None, window=None):
+def endomorphism_probe(target, degree=None):
     """Upper bound the endomorphisms of a cyclic module by linear algebra.
 
-    target is a prefix module, a SchreierStaircase, or a prepared
-    ModuleOps.  An endomorphism is determined by the image z of the
-    generator; every relation witnessed inside the window between
-    reachable vectors imposes a linear condition on z.  The image of the
-    generator is constrained to degree at most degree - 1 so that its
-    whole orbit over the window stays observable, and the reported
-    dimension is an upper bound that is reliable once two consecutive
-    degrees agree.  The report carries the solution space, the
-    composition table over its basis, and honest flags for window
-    overflow.
+    target is a prefix module or a SchreierStaircase.  An endomorphism is
+    determined by the image z of the generator; every relation witnessed
+    inside the window between reachable vectors imposes a linear
+    condition on z.  The image of the generator is constrained to degree
+    at most degree - 1 so that its whole orbit over the window stays
+    observable, and the reported dimension is an upper bound that is
+    reliable once two consecutive degrees agree.  The report carries the
+    solution space, the composition table over its basis, and honest
+    flags for window overflow.
     """
-    if isinstance(target, ModuleOps):
-        mod = target
-    elif isinstance(target, SchreierStaircase):
+    if isinstance(target, SchreierStaircase):
         vdeg = (target.degree if degree is None else degree) - 1
-        mod = staircase_ops(target, vdeg)
+        mod = staircase_ops(target)
+        variables = [p for p in target.coset_basis() if len(p) <= vdeg]
     else:
         if degree is None:
             raise PreconditionError("an endomorphism probe needs a degree")
-        win = degree if window is None else window
-        mod = prefix_ops(target, win, degree - 1)
+        mod = prefix_ops(target, degree)
+        variables = target.labels(degree - 1)
     field = mod.field
     one = field.one
-    var_index = {v: i for i, v in enumerate(mod.variables)}
-
-    def var_key(v):
-        return var_index[v]
-
+    var_index = {v: i for i, v in enumerate(variables)}
     rows = [dict(mod.generator)]
-    syms = [{v: {v: one} for v in mod.variables}]
+    syms = [{v: {v: one} for v in variables}]
     ech = SpanEchelon(field, mod.sort_key)
     ech.insert(rows[0], {0: one})
-    constraints = SpanEchelon(field, var_key)
+    constraints = SpanEchelon(field, var_index.__getitem__)
     eq_count = 0
     overflow = False
-    queue = [0]
+    queue = deque([0])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         sym_i = syms[i]
         for _, fn in mod.ops:
             img = mod.apply(fn, rows[i])
@@ -554,15 +520,15 @@ def endomorphism_probe(target, degree=None, window=None):
             for var_row in eq.values():
                 eq_count += 1
                 constraints.insert(var_row)
-    free_vars = [v for v in mod.variables if v not in constraints.rows]
-    basis = constraints.kernel(mod.variables)
+    free_vars = [v for v in variables if v not in constraints.rows]
+    basis = constraints.kernel(variables)
     report = EndomorphismReport(field, free_vars, basis, len(basis))
     report.overflowed = overflow
     report.equations = eq_count
     report.independent = constraints.rank
     report.window = mod.window
-    report.variable_degree = None if not mod.variables else max(
-        mod.degree_of(v) for v in mod.variables
+    report.variable_degree = None if not variables else max(
+        mod.degree_of(v) for v in variables
     )
     report.unit_coords = report.express(mod.generator)
     if report.dimension and report.dimension <= 16:

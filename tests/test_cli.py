@@ -8,13 +8,17 @@ line where only single facts matter.
 
 import contextlib
 import io
+import os
+import re
+import shlex
+import time
 
 import pytest
 
 from leavitt import equals_cohn, parse_element, parse_field, parse_graph
 from leavitt.cli import main
 
-from conftest import LOOPFAM, ROSE2, ROSEAB
+from conftest import LOOPFAM, ROSE2, ROSEAB, SINK3
 
 FREE2 = """\
 [vertices]
@@ -318,6 +322,56 @@ def test_module_simplicity_verdict(rose2_file):
     assert report["seed"] == "0"
 
 
+# -- README examples ------------------------------------------------------------------
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(os.path.dirname(HERE), "README.md")
+GOLDEN = os.path.join(HERE, "golden", "readme_modules.txt")
+README_GRAPHS = {
+    "rose2.graph": ROSE2,
+    "roseab.graph": ROSEAB,
+    "sink3.graph": SINK3,
+    "loopfam.graph": LOOPFAM,
+}
+
+
+def readme_module_commands():
+    """argv of every ``leavitt module`` line in the README's sh blocks."""
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), re.S)
+    return [
+        shlex.split(line[len("leavitt "):])
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("leavitt module ")
+    ]
+
+
+def readme_module_transcript(directory):
+    """Exit code and kv report of each README module command at degree 4."""
+    for name, text in README_GRAPHS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    chunks = []
+    for argv in readme_module_commands():
+        argv = argv + ["--degree", "4", "--format", "kv"]
+        code, out, err = run_cli(
+            [os.path.join(directory, a) if a in README_GRAPHS else a for a in argv]
+        )
+        chunks.append(f"$ leavitt {shlex.join(argv)}\nexit={code}\n{out}{err}")
+    return "".join(chunks)
+
+
+def test_readme_module_examples_match_golden(tmp_path):
+    # The golden file is the transcript the README examples are held to;
+    # rewrite it with readme_module_transcript only when a report is meant
+    # to change.
+    assert len(readme_module_commands()) == 8
+    with open(GOLDEN, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert readme_module_transcript(str(tmp_path)) == expected
+
+
 # -- failure modes --------------------------------------------------------------------
 
 
@@ -330,6 +384,24 @@ def test_usage_errors_exit_1(rose2_file):
     )
     assert code == 1
     assert "--word" in err
+    for flag, value in (("--degree", "-3"), ("--family-cap", "-1"), ("--samples", "0")):
+        code, out, err = run_cli(
+            ["module", "--graph", rose2_file, "chen", "--word", "rational:x1", flag, value]
+        )
+        assert code == 1 and not out
+        assert flag in err
+
+
+def test_large_prime_field(rose2_file):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["nf", "--graph", rose2_file, "--field", "gf:1000000000000000003", "x1.x1* + x2.x2*"]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "v\n")
+    code, _, err = run_cli(["nf", "--graph", rose2_file, "--field", "gf:1000000000000000001", "v"])
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_parse_errors_exit_2(tmp_path, rose2_file):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from leavitt import ParseError, PrimeField, RationalField, parse_field
 from leavitt.errors import PreconditionError
+from leavitt.fields import _is_prime
 
 
 def test_parse_field_tags():
@@ -13,12 +14,31 @@ def test_parse_field_tags():
     f = parse_field("gf:7")
     assert isinstance(f, PrimeField)
     assert f.characteristic == 7
+    assert parse_field("gf:1000000000000000003").characteristic == 10**18 + 3
 
 
 def test_parse_field_rejects_junk():
-    for bad in ("r", "gf:1", "gf:6", "gf:", "gf:x"):
+    # 101 divides 10^18 + 1; Miller-Rabin is not exact from 3317...981 up
+    for bad in (
+        "r",
+        "gf:1",
+        "gf:6",
+        "gf:",
+        "gf:x",
+        "gf:1000000000000000001",
+        "gf:3317044064679887385961981",
+    ):
         with pytest.raises((ParseError, PreconditionError)):
             parse_field(bad)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if trial(n)
+    ]
 
 
 def test_rational_parse_and_of():

@@ -31,6 +31,7 @@ from leavitt import (
     thue_morse_word,
 )
 from leavitt.linalg import SpanEchelon, vec_add_into
+from leavitt.probes import Closure, prefix_ops, span_closure
 
 from oracles import DenseSpan, paths_by_target, random_ghost_element
 from test_schreier import QUAT_GENS
@@ -297,6 +298,57 @@ def test_composition_probe_rangaswamy_quadratic(loopfam, q):
     assert report["strict"]
     types = [f["type"] for f in report["factors"]]
     assert types.count("S_v") == 2
+    assert [f["dim_jump"] for f in report["factors"]] == [364, 1093, 729]
+    assert report["dim"] == 2186
+    assert report["exhausts_degree"] == 6
+    assert report["overflowed"]
+
+
+def chain_modules(loopfam, abfam, q):
+    a = parse_path(loopfam, "a")
+    fa, fb = loops(abfam, "a", "b")
+    return {
+        "rangaswamy_linear": rangaswamy_module(loopfam, q, a, [q.of(-1), q.one]),
+        "rangaswamy_quadratic": rangaswamy_module(loopfam, q, a, [q.one, q.one, q.one]),
+        "abfam_linear": linear_example_module(abfam, q, fa, fb, "linear"),
+        "abfam_mantese": mantese_module(abfam, q, "v", {fa: q.one, fb: q.one}),
+    }
+
+
+@pytest.mark.parametrize("window", [4, 5, 6])
+def test_composition_steps_match_closures_built_from_scratch(loopfam, abfam, q, window):
+    # each step's dimension is that of the closure of the whole prefix of
+    # candidates, built in one go; the last closure holds every label of
+    # degree up to exhausts_degree, and not every label of the next degree
+    for name, M in chain_modules(loopfam, abfam, q).items():
+        chain = chain_candidates(M)
+        report = composition_probe(M, chain, window)
+        mod = prefix_ops(M, window)
+        total = 0
+        for i, factor in enumerate(report["factors"]):
+            total += factor["dim_jump"]
+            full = span_closure(mod, chain[: i + 1])
+            assert total == full.dim, (name, i)
+        assert total == report["dim"], name
+
+        def holds(d):
+            return all(full.contains({lab: q.one}) for lab in M.labels(d))
+
+        e = report["exhausts_degree"]
+        assert e == -1 or holds(e), name
+        assert e == window or not holds(e + 1), name
+
+
+def test_closure_extended_twice_spans_the_joint_closure(loopfam, q):
+    R = rangaswamy_module(loopfam, q, parse_path(loopfam, "a"), [q.one, q.one, q.one])
+    chain = chain_candidates(R)
+    mod = prefix_ops(R, 5)
+    grown = Closure(mod).extend(chain[:1]).extend(chain[1:])
+    joint = span_closure(mod, chain)
+    assert grown.dim == joint.dim
+    assert grown.overflowed == joint.overflowed
+    assert all(joint.contains(row) for row in grown.echelon.rows.values())
+    assert all(grown.contains(row) for row in joint.echelon.rows.values())
 
 
 def test_composition_probe_rejects_nonstrict_chain(loopfam, q):
