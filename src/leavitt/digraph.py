@@ -12,22 +12,50 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ParseError, PreconditionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
-    """A single arrow.  Family members carry the index they were drawn at."""
+    """A single arrow.  Family members carry the index they were drawn at.
+
+    Arrows are immutable values.  The sort key and the hash are computed
+    once, at construction, and kept in slots.
+    """
 
     name: str
     source: str
     target: str
     index: int | None = None
+    # Sort key.  Plain arrows compare before their own family members would,
+    # and family members order by index.
+    key: tuple = dc_field(init=False, repr=False)
+    _hash: int = dc_field(init=False, repr=False)
 
-    @property
-    def key(self):
-        # Sort key.  Plain arrows compare before their own family members
-        # would, and family members order by index.
-        if self.index is None:
-            return (self.name,)
-        return (self.name, self.index)
+    def __post_init__(self):
+        key = (self.name,) if self.index is None else (self.name, self.index)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.source, self.target, self.index))
+        )
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.name == other.name
+            and self.index == other.index
+            and self.source == other.source
+            and self.target == other.target
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling: a stored hash holds only in the process
+        # that computed it.
+        return (Arrow, (self.name, self.source, self.target, self.index))
 
     def __str__(self):
         if self.index is None:
@@ -35,13 +63,21 @@ class Arrow:
         return f"{self.name}[{self.index}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
-    """A finite path.  Empty paths are vertices and carry their base point."""
+    """A finite path.  Empty paths are vertices and carry their base point.
+
+    Paths are immutable values whose hash is computed once, at construction.
+    The public constructor checks that the arrows compose; the operations
+    below build their results through ``_trusted``, which does not repeat
+    the check, since each of them checks its own junction or only cuts a
+    path that is already valid.
+    """
 
     source: str
     target: str
-    arrows: tuple = dc_field(default=())
+    arrows: tuple = ()
+    _hash: int = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         prev = self.source
@@ -53,6 +89,17 @@ class Path:
             raise PreconditionError(
                 f"path target {self.target} does not match arrows ending at {prev}"
             )
+        object.__setattr__(self, "_hash", hash((self.source, self.target, self.arrows)))
+
+    @staticmethod
+    def _trusted(source, target, arrows):
+        # A path whose arrows the caller knows compose from source to target.
+        path = _new_object(Path)
+        _set_source(path, source)
+        _set_target(path, target)
+        _set_arrows(path, arrows)
+        _set_hash(path, hash((source, target, arrows)))
+        return path
 
     @staticmethod
     def vertex(v):
@@ -64,6 +111,24 @@ class Path:
         if not arrows:
             raise PreconditionError("of_arrows needs at least one arrow")
         return Path(arrows[0].source, arrows[-1].target, arrows)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.source == other.source
+            and self.target == other.target
+            and self.arrows == other.arrows
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Path, (self.source, self.target, self.arrows))
 
     def __len__(self):
         return len(self.arrows)
@@ -82,46 +147,55 @@ class Path:
         return tuple(a.key for a in reversed(self.arrows))
 
     def concat(self, other):
-        if isinstance(other, Arrow):
-            other = Path.of_arrows((other,))
+        """This path followed by ``other``, a path or a single arrow."""
         if self.target != other.source:
             raise PreconditionError(f"cannot compose {self} with {other}")
-        return Path(self.source, other.target, self.arrows + other.arrows)
+        tail = (other,) if other.__class__ is Arrow else other.arrows
+        return Path._trusted(self.source, other.target, self.arrows + tail)
 
     def prepend(self, arrow):
         if arrow.target != self.source:
             raise PreconditionError(f"cannot prepend {arrow} to {self}")
-        return Path(arrow.source, self.target, (arrow,) + self.arrows)
+        return Path._trusted(arrow.source, self.target, (arrow,) + self.arrows)
 
     def strip_prefix(self, prefix):
         """Return the remainder if ``prefix`` is an initial segment, else None."""
-        if len(prefix) > len(self.arrows):
+        head = prefix.arrows
+        n = len(head)
+        arrows = self.arrows
+        if n > len(arrows) or prefix.source != self.source:
             return None
-        if prefix.source != self.source:
+        if arrows[:n] != head:
             return None
-        if self.arrows[: len(prefix)] != prefix.arrows:
-            return None
-        rest = self.arrows[len(prefix) :]
-        return Path(prefix.target, self.target, rest)
+        return Path._trusted(prefix.target, self.target, arrows[n:])
 
     def drop_last(self):
         if not self.arrows:
             raise PreconditionError("cannot drop an arrow from a vertex path")
         rest = self.arrows[:-1]
         tgt = rest[-1].target if rest else self.source
-        return Path(self.source, tgt, rest)
+        return Path._trusted(self.source, tgt, rest)
 
     def drop_first(self):
         if not self.arrows:
             raise PreconditionError("cannot drop an arrow from a vertex path")
         rest = self.arrows[1:]
         src = rest[0].source if rest else self.target
-        return Path(src, self.target, rest)
+        return Path._trusted(src, self.target, rest)
 
     def __str__(self):
         if not self.arrows:
             return self.source
         return ".".join(str(a) for a in self.arrows)
+
+
+# Slot setters for Path._trusted.  They bypass the frozen __setattr__ and
+# __post_init__, so only Path._trusted may use them.
+_new_object = object.__new__
+_set_source = Path.source.__set__
+_set_target = Path.target.__set__
+_set_arrows = Path.arrows.__set__
+_set_hash = Path._hash.__set__
 
 
 def path_sort_key(path):

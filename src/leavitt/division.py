@@ -7,6 +7,8 @@ bad multiplication table fails at construction time rather than deep
 inside a staircase computation.
 """
 
+from math import gcd, isqrt
+
 from .errors import ParseError, PreconditionError
 
 
@@ -207,10 +209,12 @@ def represents_zero(field, c, d, bound):
 def is_irreducible(field, coeffs):
     """True, False, or None when no exact criterion applies.
 
-    Prime fields are handled exhaustively.  Over the rationals, degrees up
-    to three reduce to the rational root test; higher degrees fall back on
-    irreducibility modulo a small prime, which is sufficient but not
-    necessary, so a miss returns None rather than a verdict.
+    Prime fields are decided by Rabin's test.  Over the rationals, degrees
+    up to three reduce to the rational root test; higher degrees fall back
+    on irreducibility modulo a small prime, which is sufficient but not
+    necessary, so a miss returns None rather than a verdict.  The rational
+    root test is skipped, which leaves degrees up to three at None, when
+    its divisor scan would pass _ROOT_SCAN_CAP.
     """
     coeffs = check_poly(field, coeffs, monic=False)
     deg = len(coeffs) - 1
@@ -219,10 +223,11 @@ def is_irreducible(field, coeffs):
     if field.characteristic:
         return _gf_irreducible(field, coeffs)
     ints = _integerize(coeffs)
-    if deg <= 3:
-        return not _has_rational_root(ints)
-    if _has_rational_root(ints):
+    root = _has_rational_root(ints)
+    if root:
         return False
+    if deg <= 3:
+        return None if root is None else True
     from .fields import PrimeField
 
     for p in (2, 3, 5, 7, 11, 13):
@@ -239,82 +244,142 @@ def _integerize(coeffs):
 
     denom = 1
     for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
     return [int(Fraction(c) * denom) for c in coeffs]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+# Bound on the rational root test's work: on isqrt(|a0|) + isqrt(|an|),
+# the divisor scan, and on the number of candidate numerator/denominator
+# pairs.  Past it the test answers None.
+_ROOT_SCAN_CAP = 10**6
 
 
 def _has_rational_root(ints):
-    from fractions import Fraction
-
-    a0, an = ints[0], ints[-1]
+    """True or False for an integer polynomial, None past _ROOT_SCAN_CAP."""
+    a0, an = abs(ints[0]), abs(ints[-1])
     if a0 == 0:
         return True
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            for sign in (1, -1):
-                x = Fraction(sign * p, q)
-                acc = Fraction(0)
+    if isqrt(a0) + isqrt(an) > _ROOT_SCAN_CAP:
+        return None
+    nums, dens = _divisors(a0), _divisors(an)
+    if len(nums) * len(dens) > _ROOT_SCAN_CAP:
+        return None
+    for q in dens:
+        for p in nums:
+            if gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                # q^deg * f(s/q), by Horner's rule on the homogenized form
+                acc, q_pow = 0, 1
                 for c in reversed(ints):
-                    acc = acc * x + c
+                    acc = acc * s + c * q_pow
+                    q_pow *= q
                 if acc == 0:
                     return True
     return False
 
 
 def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n > 0, ascending, found in pairs up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _gf_irreducible(field, coeffs):
-    deg = len(coeffs) - 1
+    """Rabin's test (1980) on f of degree n over GF(p).
+
+    The monic f is irreducible iff f divides x^(p^n) - x and
+    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.  Each
+    x^(p^i) mod f comes from the one before by modular powering by p, so
+    the cost is polynomial in n and log p.
+    """
     p = field.characteristic
-    # Roots catch all degree 2 and 3 factorizations.
-    for r in range(p):
-        if not poly_eval(field, coeffs, field.of(r)):
+    inv = pow(coeffs[-1].residue, p - 2, p)
+    f = [c.residue * inv % p for c in coeffs]
+    n = len(f) - 1
+    x = [0, 1]
+    frobenius = [x]  # x^(p^i) mod f
+    for _ in range(n):
+        frobenius.append(_poly_powmod(frobenius[-1], p, f, p))
+    if frobenius[n] != x:
+        return False
+    for q in _prime_factors(n):
+        g = _poly_sub(frobenius[n // q], x, p)
+        if len(_poly_gcd(g, f, p)) != 1:
             return False
-    if deg <= 3:
-        return True
-    # Trial division by monic polynomials up to half the degree.
-    for d in range(2, deg // 2 + 1):
-        for divisor in _monic_polys(field, d):
-            if _poly_divides(field, divisor, coeffs):
-                return False
     return True
 
 
-def _monic_polys(field, deg):
-    p = field.characteristic
-    total = p**deg
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(deg):
-            coeffs.append(field.of(c % p))
-            c //= p
-        coeffs.append(field.one)
-        yield coeffs
+# Polynomials over GF(p) for Rabin's test: residue lists, constant term
+# first, with no trailing zeros, so [] is the zero polynomial.
 
 
-def _poly_divides(field, divisor, coeffs):
-    rem = list(coeffs)
-    dd = len(divisor) - 1
-    lead = divisor[-1]
-    while len(rem) - 1 >= dd:
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(divisor):
-            rem[shift + i] = rem[shift + i] - factor * c
-        while len(rem) > 1 and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-    return len(rem) == 1 and not rem[0]
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _poly_rem(a, b, p):
+    """a mod b, for b nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            for i in range(db + 1):
+                a[k - db + i] = (a[k - db + i] - c * b[i]) % p
+    return _trim(a[:db])
+
+
+def _poly_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _poly_rem([c % p for c in prod], f, p)
+
+
+def _poly_powmod(a, e, f, p):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, p)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, f, p)
+    return out
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # -- the two algebra families --------------------------------------------

@@ -301,3 +301,58 @@ def matrix_annihilator(graph, field, rng, dim, word_bound=None):
         return not any(acc)
 
     return gens, member, mats
+
+
+# -- brute-force irreducibility over GF(p) -----------------------------------------
+
+
+def gf_irreducible_brute(field, coeffs):
+    """Irreducibility over a small GF(p) by exhaustion.
+
+    Any root gives a linear factor; past degree three, trial division by
+    every monic polynomial up to half the degree finds the rest.  The cost
+    is p^(deg/2) divisions, so this is only a reference for small p.
+    """
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return True
+    p = field.characteristic
+    for r in range(p):
+        acc = field.zero
+        for c in reversed(coeffs):
+            acc = acc * field.of(r) + c
+        if not acc:
+            return False
+    for d in range(2, deg // 2 + 1):
+        for divisor in _monic_polys(field, d):
+            if _poly_divides(field, divisor, coeffs):
+                return False
+    return True
+
+
+def _monic_polys(field, deg):
+    p = field.characteristic
+    for code in range(p**deg):
+        coeffs = []
+        c = code
+        for _ in range(deg):
+            coeffs.append(field.of(c % p))
+            c //= p
+        coeffs.append(field.one)
+        yield coeffs
+
+
+def _poly_divides(field, divisor, coeffs):
+    rem = list(coeffs)
+    dd = len(divisor) - 1
+    lead = divisor[-1]
+    while len(rem) - 1 >= dd:
+        factor = rem[-1] / lead
+        shift = len(rem) - 1 - dd
+        for i, c in enumerate(divisor):
+            rem[shift + i] = rem[shift + i] - factor * c
+        while len(rem) > 1 and not rem[-1]:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+    return len(rem) == 1 and not rem[0]

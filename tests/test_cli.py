@@ -404,6 +404,34 @@ def test_large_prime_field(rose2_file):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize(
+    "poly, field",
+    [("1,0,1", "gf:1000000000000000003"), ("1,0,1000000007", "q")],
+)
+def test_rangaswamy_irreducibility_is_fast(loopfam_file, poly, field):
+    # x^2 + 1 is irreducible mod p = 10^18 + 3, as p = 3 mod 4
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        [
+            "module",
+            "--graph",
+            loopfam_file,
+            "--field",
+            field,
+            "rangaswamy",
+            "--period",
+            "a",
+            "--poly",
+            poly,
+            "--degree",
+            "2",
+        ]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert lines_of(out)["irreducible"] == "yes"
+
+
 def test_parse_errors_exit_2(tmp_path, rose2_file):
     code, _, err = run_cli(["nf", "--graph", rose2_file, "x1 +* junk"])
     assert code == 2

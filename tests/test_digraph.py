@@ -1,4 +1,11 @@
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
+from hypothesis import given, strategies as st
 
 from leavitt import (
     ParseError,
@@ -13,9 +20,10 @@ from leavitt import (
     tail_equivalent,
     thue_morse_word,
 )
+from leavitt.digraph import Arrow
 from leavitt.errors import PreconditionError
 
-from conftest import ROSE2, ROSEINF, SINK3
+from conftest import ABFAM, ROSE2, ROSEINF, SINK3
 
 
 def test_parse_graph_sections_and_comments():
@@ -144,3 +152,130 @@ def test_tail_equivalence_distinguishes_words(rose2):
     wb = periodic_word(parse_path(rose2, "x2"))
     assert not tail_equivalent(wa, wb)
     assert tail_equivalent(wa, wa.prepend(parse_path(rose2, "x2").arrows[0]))
+
+
+# -- paths and arrows as values -------------------------------------------------
+
+# Both graphs have the single vertex v, so any word in their arrows is a path.
+LETTERS = {
+    "rose2": parse_graph(ROSE2).all_arrows(),
+    "abfam": parse_graph(ABFAM).all_arrows(family_cap=3),
+}
+
+
+@st.composite
+def words(draw):
+    letters = LETTERS[draw(st.sampled_from(sorted(LETTERS)))]
+    word = draw(st.lists(st.sampled_from(letters), max_size=6))
+    other = draw(st.lists(st.sampled_from(letters), max_size=6))
+    return tuple(word), tuple(other), draw(st.sampled_from(letters))
+
+
+def _same_value(p, q):
+    assert (p.source, p.target, p.arrows) == (q.source, q.target, q.arrows)
+    assert p == q and hash(p) == hash(q)
+
+
+@given(words(), st.data())
+def test_path_operations_build_equal_values(ws, data):
+    word, other, a = ws
+    full = Path("v", "v", word)
+    assert hash(full) == hash(("v", "v", word))
+    cut = data.draw(st.integers(0, len(word)))
+    head, tail = Path("v", "v", word[:cut]), Path("v", "v", word[cut:])
+    assert head.concat(tail).strip_prefix(head) == tail
+    built = [
+        head.concat(tail),
+        Path("v", "v", word + (a,)).drop_last(),
+        Path("v", "v", (a,) + word).drop_first(),
+        Path("v", "v", (a,) + word).strip_prefix(Path.of_arrows((a,))),
+    ]
+    if word:
+        built.append(Path("v", "v", word[1:]).prepend(word[0]))
+        built.append(Path("v", "v", word[:-1]).concat(word[-1]))
+        built.append(Path.of_arrows(word))
+    for p in built:
+        _same_value(p, full)
+    # and values with different fields differ
+    assert (full == Path("v", "v", other)) == (word == other)
+
+
+def test_arrows_and_paths_from_separate_parses_are_equal():
+    g1, g2 = parse_graph(ABFAM), parse_graph(ABFAM)
+    for a1, a2 in zip(g1.all_arrows(3), g2.all_arrows(3), strict=True):
+        assert a1 is not a2
+        assert a1 == a2 and hash(a1) == hash(a2)
+        assert hash(a1) == hash((a1.name, a1.source, a1.target, a1.index))
+        assert a1.key == ((a1.name,) if a1.index is None else (a1.name, a1.index))
+    p1, p2 = parse_path(g1, "a.f[2].b"), parse_path(g2, "a.f[2].b")
+    assert p1 == p2 and hash(p1) == hash(p2) and {p1: 1}[p2] == 1
+    assert parse_path(g1, "a.f[2]") != p2 and g1.arrow("f", 1) != g2.arrow("f", 2)
+    assert p1 != str(p1) and g1.arrow("a") != Path.of_arrows((g1.arrow("a"),))
+
+
+def test_equal_hashes_do_not_make_equal_values():
+    # hash(-1) == hash(-2) in CPython, so these collide on purpose
+    a, b = Arrow("f", "v", "v", -1), Arrow("f", "v", "v", -2)
+    assert hash(a) == hash(b) and a != b
+    pa, pb = Path.of_arrows((a,)), Path.of_arrows((b,))
+    assert hash(pa) == hash(pb) and pa != pb
+
+
+def test_operations_move_base_points(sink3):
+    e, g, h = (sink3.arrow(n) for n in "egh")
+    egh = Path.of_arrows((e, g, e, h))
+    _same_value(egh.strip_prefix(Path.of_arrows((e,))), Path.of_arrows((g, e, h)))
+    _same_value(egh.strip_prefix(Path.vertex("u")), egh)
+    assert egh.strip_prefix(Path.vertex("v")) is None
+    assert egh.strip_prefix(Path.of_arrows((e, h))) is None
+    _same_value(egh.drop_first(), Path.of_arrows((g, e, h)))
+    _same_value(egh.drop_last(), Path.of_arrows((e, g, e)))
+    _same_value(Path.of_arrows((h,)).drop_first(), Path.vertex("w"))
+    _same_value(Path.of_arrows((h,)).drop_last(), Path.vertex("v"))
+    _same_value(Path.vertex("v").prepend(e).concat(h), Path.of_arrows((e, h)))
+
+
+def test_paths_and_arrows_are_frozen(rose2):
+    p = parse_path(rose2, "x1.x2")
+    with pytest.raises(FrozenInstanceError):
+        p.source = "w"
+    with pytest.raises(FrozenInstanceError):
+        p.arrows = ()
+    with pytest.raises(FrozenInstanceError):
+        p.arrows[0].name = "x2"
+
+
+def test_public_construction_still_validates(sink3):
+    e, g, h = (sink3.arrow(n) for n in "egh")
+    assert str(Path("u", "u", (e, g))) == "e.g"
+    with pytest.raises(PreconditionError):
+        Path("u", "w", (e, g))  # the arrows end at u
+    with pytest.raises(PreconditionError):
+        Path("u", "w", (e, g, h))  # g ends at u, h starts at v
+    with pytest.raises(PreconditionError):
+        Path.of_arrows((h, e))
+    with pytest.raises(PreconditionError):
+        Path.vertex("u").concat(h)
+    with pytest.raises(PreconditionError):
+        Path.of_arrows((e,)).prepend(e)
+
+
+def test_unpickled_values_rehash_in_the_new_process():
+    # pickled under another hash seed, the stored hashes would be stale
+    code = (
+        "import pickle, sys; from leavitt import parse_graph, parse_path; "
+        "from conftest import ABFAM; "
+        "sys.stdout.buffer.write(pickle.dumps(parse_path(parse_graph(ABFAM), 'a.f[2]')))"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, here]))
+    blob = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    p = pickle.loads(blob)
+    assert p == parse_path(parse_graph(ABFAM), "a.f[2]")
+    assert hash(p) == hash((p.source, p.target, p.arrows))
+    assert hash(p.arrows[1]) == hash(("f", "v", "v", 2))
+    assert isinstance(p.arrows[0], Arrow)

@@ -18,6 +18,8 @@ from leavitt import (
 from leavitt.algebra import parse_element
 from leavitt.errors import ParseError, PreconditionError
 
+from oracles import gf_irreducible_brute
+
 
 def test_check_poly_validates(q):
     coeffs = check_poly(q, [1, 0, 1])
@@ -57,6 +59,27 @@ def test_is_irreducible_examples(q):
     gf2 = parse_field("gf:2")
     assert is_irreducible(gf2, [gf2.one, gf2.one, gf2.one]) is True
     assert is_irreducible(gf2, [gf2.one, gf2.zero, gf2.one]) is False
+    assert is_irreducible(q, [q.of(1), q.of(-5), q.of(6)]) is False  # (2x - 1)(3x - 1)
+    assert is_irreducible(q, [q.of(-2), q.zero, q.zero, q.one]) is True  # x^3 - 2
+    assert is_irreducible(q, [q.of(1000000007), q.zero, q.one]) is True
+    # (x - 1000003)(x^2 + 1): the root is the large divisor of a prime a0
+    assert is_irreducible(q, [q.of(c) for c in (-1000003, 1, -1000003, 1)]) is False
+    # past the divisor scan cap the rational root test does not run
+    assert is_irreducible(q, [q.of(10**13), q.zero, q.one]) is None
+
+
+# degree 5 is the first where a reducible f has no factor whose degree
+# divides a maximal proper divisor of its degree, so Rabin's divisibility
+# test has work to do
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 5), (5, 3)])
+def test_rabin_agrees_with_brute_force(p, max_degree):
+    gf = parse_field(f"gf:{p}")
+    for deg in range(1, max_degree + 1):
+        for code in range(p**deg):
+            coeffs = [gf.of(code // p**i) for i in range(deg)] + [gf.one]
+            verdict = gf_irreducible_brute(gf, coeffs)
+            assert is_irreducible(gf, coeffs) is verdict, coeffs
+            assert is_irreducible(gf, [c * (p - 1) for c in coeffs]) is verdict
 
 
 def test_field_extension_multiplication(q):
