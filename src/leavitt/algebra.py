@@ -11,6 +11,7 @@ import re
 
 from .digraph import Path, path_sort_key
 from .errors import ParseError, PreconditionError
+from .linalg import vec_add_into
 
 
 class Element:
@@ -63,10 +64,8 @@ class Element:
     @staticmethod
     def unit(graph, field):
         """The sum of all vertex idempotents."""
-        out = Element.zero(graph, field)
-        for v in graph.vertices:
-            out = out + Element.vertex(graph, field, v)
-        return out
+        vertices = map(Path.vertex, graph.vertices)
+        return Element(graph, field, {(p, p): field.one for p in vertices})
 
     # -- linear structure ----------------------------------------------
 
@@ -333,20 +332,25 @@ class _ExprParser:
         return tok
 
     def parse(self):
-        total = Element.zero(self.graph, self.field)
-        sign = 1
-        kind, _ = self.peek()
-        if kind == "op" and self.tokens[self.pos][1] in "+-":
-            sign = -1 if self.take()[1] == "-" else 1
-        total = total + self.term().scale(self.field.of(sign))
-        while self.pos < len(self.tokens):
+        # Terms accumulate into one dict; adding Elements would copy the sum
+        # and recheck every monomial at each term.
+        one = self.field.one
+        terms = {}
+        sign = one
+        if self.peek() in (("op", "+"), ("op", "-")):
+            sign = -one if self.take()[1] == "-" else one
+        while True:
+            element, coeff = self.term()
+            vec_add_into(self.field, terms, element.terms, coeff * sign)
+            if self.pos >= len(self.tokens):
+                return Element(self.graph, self.field, terms)
             kind, val = self.take()
             if kind != "op" or val not in "+-":
                 raise ParseError(f"expected + or - before {val!r}")
-            total = total + self.term().scale(self.field.of(-1 if val == "-" else 1))
-        return total
+            sign = -one if val == "-" else one
 
     def term(self):
+        """One summand, as an element and the coefficient weighting it."""
         kind, val = self.peek()
         coeff = self.field.one
         if kind == "num":
@@ -354,10 +358,10 @@ class _ExprParser:
             coeff = self.field.parse(val)
             kind, val = self.peek()
             if kind != "id":
-                return Element.unit(self.graph, self.field).scale(coeff)
+                return Element.unit(self.graph, self.field), coeff
         if kind != "id":
             raise ParseError(f"expected a generator name, found {val!r}")
-        return self.word().scale(coeff)
+        return self.word(), coeff
 
     def word(self):
         out = self.factor()

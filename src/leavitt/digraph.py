@@ -553,13 +553,10 @@ class InfiniteWord:
 
     __slots__ = ("prefix", "tail")
 
-    def __init__(self, prefix, tail, normalize=True):
+    def __init__(self, prefix, tail):
         if prefix.target != tail.source:
             raise PreconditionError(f"prefix {prefix} does not meet tail {tail}")
-        if normalize:
-            prefix, tail = _normalize(prefix, tail)
-        self.prefix = prefix
-        self.tail = tail
+        self.prefix, self.tail = _normalize(prefix, tail)
 
     @property
     def source(self):

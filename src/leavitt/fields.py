@@ -1,7 +1,10 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
 Every computation in this package runs over one of these fields.  Scalars are
-exact; there is no floating point anywhere.
+exact; there is no floating point anywhere.  A field is the only maker of its
+scalars: ints and text enter through ``field.of`` and ``field.parse``.  Scalars
+are never mutated, so ``field.zero`` and ``field.one`` are constants that every
+caller shares.
 """
 
 from fractions import Fraction
@@ -10,11 +13,12 @@ from .errors import ParseError, PreconditionError
 
 
 class GFScalar:
-    """A residue modulo a prime p.
+    """A residue modulo a prime p, made by PrimeField.of or PrimeField.parse.
 
-    Arithmetic accepts plain ints on either side and coerces them mod p.
-    Equality and hashing are only defined against other GFScalar values
-    with the same modulus.
+    Arithmetic, equality and hashing are only defined against other GFScalar
+    values with the same modulus.  Arithmetic with an int or any other type
+    raises TypeError, and arithmetic across two moduli raises
+    PreconditionError.
     """
 
     __slots__ = ("residue", "p")
@@ -23,54 +27,25 @@ class GFScalar:
         self.residue = residue % p
         self.p = p
 
-    def _coerce(self, other):
-        if isinstance(other, GFScalar):
-            if other.p != self.p:
-                raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return GFScalar(other, self.p)
-        return None
+    def _residue_of(self, other):
+        if other.__class__ is not GFScalar:
+            raise TypeError(f"cannot combine GF({self.p}) with {type(other).__name__}")
+        if other.p != self.p:
+            raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
+        return other.residue
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GFScalar(self.residue + other.residue, self.p)
-
-    __radd__ = __add__
+        return GFScalar(self.residue + self._residue_of(other), self.p)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GFScalar(self.residue - other.residue, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GFScalar(other.residue - self.residue, self.p)
+        return GFScalar(self.residue - self._residue_of(other), self.p)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GFScalar(self.residue * other.residue, self.p)
-
-    __rmul__ = __mul__
+        return GFScalar(self.residue * self._residue_of(other), self.p)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        self._residue_of(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __neg__(self):
         return GFScalar(-self.residue, self.p)
@@ -124,18 +99,12 @@ def _is_prime(p):
 
 
 class RationalField:
-    """The field of rational numbers, backed by fractions.Fraction."""
+    """The rationals, as fractions.Fraction; zero and one are class constants."""
 
     characteristic = 0
     name = "q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -161,7 +130,7 @@ class RationalField:
 
 
 class PrimeField:
-    """The prime field GF(p)."""
+    """The prime field GF(p); zero and one are built once, in __init__."""
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -169,14 +138,8 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"gf:{p}"
-
-    @property
-    def zero(self):
-        return GFScalar(0, self.p)
-
-    @property
-    def one(self):
-        return GFScalar(1, self.p)
+        self.zero = GFScalar(0, p)
+        self.one = GFScalar(1, p)
 
     def of(self, x):
         if isinstance(x, GFScalar):

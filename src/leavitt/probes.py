@@ -554,18 +554,7 @@ def endomorphism_probe(target, degree=None):
 # -- annihilators -------------------------------------------------------------------
 
 
-def _ghost_word_apply(space, beta, vec):
-    """The image of a module vector under the ghost word beta*."""
-    if beta.is_vertex:
-        return space.vertex_apply(beta.source, vec)
-    for b in beta.arrows:
-        vec = space.ghost_apply(b, vec)
-        if not vec:
-            break
-    return vec
-
-
-def annihilator_staircase(space, vec, degree, family_cap=None):
+def annihilator_staircase(space, vec, degree):
     """Ghost side annihilator of a module vector, echelonized by leading word.
 
     Walks the ghost words beta* in staircase order, reduces their images
@@ -574,12 +563,12 @@ def annihilator_staircase(space, vec, degree, family_cap=None):
     list of kernel ghost vectors; their leading words form the pivot set
     of the annihilator staircase at this degree.
     """
-    cap = space.family_cap if family_cap is None else family_cap
     field = space.field
     ech = SpanEchelon(field, space.label_sort_key)
     kernel = []
-    for beta in sorted(space.graph.all_paths(degree, cap), key=ghost_sort_key):
-        img = _ghost_word_apply(space, beta, vec)
+    words = space.graph.all_paths(degree, space.family_cap)
+    for beta in sorted(words, key=ghost_sort_key):
+        img = space.act_monomial(Path.vertex(beta.target), beta, vec)
         rem, combo, piv = ech.insert(img, {beta: field.one})
         if piv is None:
             k = {beta: field.one}
@@ -595,7 +584,8 @@ def annihilator_member_fn(space, vec):
         ghost = element_to_ghost(element)
         acc = {}
         for beta, coeff in ghost.items():
-            vec_add_into(space.field, acc, _ghost_word_apply(space, beta, vec), coeff)
+            img = space.act_monomial(Path.vertex(beta.target), beta, vec)
+            vec_add_into(space.field, acc, img, coeff)
         return not acc
 
     return member

@@ -10,7 +10,7 @@ Vectors over the basis are plain dicts from labels to scalars.
 
 from .digraph import CycleTail, Path, ghost_sort_key
 from .division import check_poly, is_irreducible
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError
 from .linalg import SpanEchelon, vec_add_into
 from .schreier import ghost_to_element
 
@@ -378,9 +378,6 @@ class CohnJacobsonModule(PrefixModule):
     def slot_base(self, slot):
         return self.v
 
-    def slot_degree(self, slot):
-        return 0
-
     def slot_rank(self, slot):
         return 0
 
@@ -389,12 +386,6 @@ class CohnJacobsonModule(PrefixModule):
 
     def slot_ghost(self, arrow, slot):
         return {}
-
-    def excluded(self, mu, slot):
-        return False
-
-    def rewrite_step(self, mu, slot):
-        raise InvariantError("no label of this module rewrites")
 
 
 def cohn_jacobson_module(graph, field, v, family_cap=2):
@@ -469,11 +460,11 @@ class RangaswamyModule(PrefixModule):
         one = self.field.one
         if slot == self.size - 1:
             if arrow == self._chain_arrow(0):
-                out = {}
-                for t in range(self.l):
-                    label = (Path.vertex(self._base(t * self.n)), t * self.n)
-                    vec_add_into(self.field, out, {label: one}, -self.q[t])
-                return out
+                return {
+                    (Path.vertex(self._base(t * self.n)), t * self.n): -self.q[t]
+                    for t in range(self.l)
+                    if self.q[t]
+                }
             return {}
         nxt = self._chain_arrow(slot + 1)
         if arrow == nxt and self.graph.is_regular(nxt.source):
@@ -610,9 +601,7 @@ class ManteseModule(PrefixModule):
         vec = {(Path.vertex(self.v), "m"): -self.field.one}
         for arrow, r in self.weights.items():
             if r:
-                vec_add_into(
-                    self.field, vec, {(Path.of_arrows((arrow,)), "m"): r}, self.field.one
-                )
+                vec[(Path.of_arrows((arrow,)), "m")] = r
         return vec
 
 
@@ -718,10 +707,11 @@ class LinearExampleModule(PrefixModule):
         """The image of the defining relation applied to vbar."""
         one = self.field.one
         pa = Path.of_arrows((self.a,))
-        vec = {self._lab("vbar"): one}
-        vec_add_into(self.field, vec, {(pa, "vbar"): one}, -one)
-        vec_add_into(self.field, vec, {(pa.concat(self._tail()), "vbar"): one}, -one)
-        return vec
+        return {
+            self._lab("vbar"): one,
+            (pa, "vbar"): -one,
+            (pa.concat(self._tail()), "vbar"): -one,
+        }
 
 
 def linear_example_module(graph, field, a, b, twist="linear", family_cap=2):

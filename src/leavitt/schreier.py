@@ -33,15 +33,6 @@ def ghost_to_element(graph, field, vec):
     return Element(graph, field, terms)
 
 
-def _append_path(beta, u):
-    """beta extended by the path u, or None when they do not compose."""
-    if beta.target != u.source:
-        return None
-    if u.is_vertex:
-        return beta
-    return beta.concat(u)
-
-
 class SchreierStaircase:
     """Echelonized truncation of a left ideal of the ghost subalgebra.
 
@@ -90,11 +81,12 @@ class SchreierStaircase:
             sources = sorted({beta.target for beta in vec})
             for v in sources:
                 for u in self.graph.paths_from(v, budget, self.family_cap):
-                    row = {}
-                    for beta, coeff in vec.items():
-                        ext = _append_path(beta, u)
-                        if ext is not None:
-                            vec_add_into(self.field, row, {ext: coeff}, self.field.one)
+                    # Distinct words stay distinct when extended by u.
+                    row = {
+                        beta.concat(u): coeff
+                        for beta, coeff in vec.items()
+                        if beta.target == u.source
+                    }
                     if row:
                         self._insert(row)
 

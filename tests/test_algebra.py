@@ -82,6 +82,12 @@ def test_print_parse_round_trip_random(rose2, sink3, q, gf5):
                 assert parse_element(graph, field, str(x)) == x
                 nf = normal_form(x)
                 assert parse_element(graph, field, str(nf)) == nf
+    # one long sum, which the parser accumulates term by term
+    table = paths_by_target(rose2, 4)
+    for field in (q, gf5):
+        x = random_element(rose2, field, rng, 4, 260, table)
+        assert len(x.terms) >= 150
+        assert parse_element(rose2, field, str(x)) == x
 
 
 # -- ring structure ---------------------------------------------------------------

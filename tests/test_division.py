@@ -79,7 +79,7 @@ def test_rabin_agrees_with_brute_force(p, max_degree):
             coeffs = [gf.of(code // p**i) for i in range(deg)] + [gf.one]
             verdict = gf_irreducible_brute(gf, coeffs)
             assert is_irreducible(gf, coeffs) is verdict, coeffs
-            assert is_irreducible(gf, [c * (p - 1) for c in coeffs]) is verdict
+            assert is_irreducible(gf, [c * gf.of(p - 1) for c in coeffs]) is verdict
 
 
 def test_field_extension_multiplication(q):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from leavitt import ParseError, PrimeField, RationalField, parse_field
 from leavitt.errors import PreconditionError
 from leavitt.fields import _is_prime
+from leavitt.linalg import SpanEchelon
 
 
 def test_parse_field_tags():
@@ -89,3 +90,40 @@ def test_fields_compare_by_structure():
     assert parse_field("q") == parse_field("q")
     assert parse_field("gf:5") == parse_field("gf:5")
     assert parse_field("gf:5") != parse_field("gf:7")
+
+
+def test_prime_field_scalars_do_not_mix_with_ints():
+    gf = PrimeField(5)
+    with pytest.raises(TypeError):
+        gf.of(2) + 3
+    with pytest.raises(TypeError):
+        3 * gf.of(2)
+    with pytest.raises(TypeError):
+        gf.of(2) / 2
+    with pytest.raises(TypeError):
+        gf.of(2) - Fraction(1)
+
+
+def test_prime_field_scalars_do_not_mix_moduli():
+    x, y = PrimeField(5).of(2), PrimeField(7).of(2)
+    for combine in (
+        lambda: x + y,
+        lambda: x - y,
+        lambda: x * y,
+        lambda: x / y,
+        lambda: PrimeField(5).of(y),
+    ):
+        with pytest.raises(PreconditionError):
+            combine()
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)])
+def test_zero_and_one_are_shared_constants(field):
+    zero, one = field.zero, field.one
+    assert field.zero is zero and field.one is one
+    ech = SpanEchelon(field, lambda k: k)
+    for row in ({0: one, 1: field.of(2)}, {1: field.of(3), 2: one}, {0: one}):
+        ech.insert(row)
+    assert ech.rank == 3 and not ech.reduce({2: field.of(4)})[0]
+    assert field.zero is zero and field.one is one
+    assert zero == field.of(0) and one == field.of(1)
