@@ -157,7 +157,7 @@ class PrimeField:
                 num, den = text.split("/", 1)
                 return self.of(int(num)) / self.of(int(den))
             return self.of(int(text))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) literal {text!r}") from exc
 
     def __eq__(self, other):

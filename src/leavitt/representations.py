@@ -3,10 +3,13 @@
 Every module here is presented the same way: basis labels are pairs
 (mu, slot) of a finite path mu and a bottom layer slot, the element being
 mu applied to the slot vector.  Real arrows prepend to mu, ghost arrows
-strip the first arrow of mu, and what happens on bare slots, together with
-which labels are identified away, is what distinguishes the constructions.
-Vectors over the basis are plain dicts from labels to scalars.
+strip the first arrow of mu, and what the ghost arrows do to bare slots
+is what distinguishes the constructions; the labels identified away
+follow from it through the summation relation.  Vectors over the basis
+are plain dicts from labels to scalars.
 """
+
+from functools import cached_property
 
 from .digraph import CycleTail, Path, ghost_sort_key
 from .division import check_poly, is_irreducible
@@ -16,14 +19,17 @@ from .schreier import ghost_to_element
 
 
 class PrefixModule:
-    """Shared machinery for the prefix-plus-slot module presentations.
+    """The module induced from a representation of the ghost quiver.
 
-    Subclasses describe their bottom layer through four hooks: slot_list
-    enumerates the slots alive below a degree, slot_ghost gives the ghost
-    arrow actions on bare slot vectors, excluded marks the labels that are
-    identified with combinations of others, and rewrite_step performs one
-    identification.  Rewrites must strictly shorten the path prefix, which
-    is what makes canonicalization terminate.
+    A subclass gives its bottom layer as data.  self.slots maps each slot
+    to (base vertex, name, rank), and self.ghost maps (arrow, slot) to the
+    image of the bare slot under that ghost arrow, a vector over labels;
+    a missing entry is the zero image.  Real arrows prepend freely, and
+    the only identifications are the summation relation at the regular
+    vertices not listed under the ck2_exempt metadata, which rules derives
+    from the two tables.  Every rewrite replaces a label by labels smaller
+    under label_sort_key, and prepending a path keeps that order, so
+    canonicalization terminates.
     """
 
     def __init__(self, graph, field, family_cap=2):
@@ -32,36 +38,111 @@ class PrefixModule:
         self.family_cap = family_cap
         self.metadata = {}
         self.generator_label = None
-        # True when excluded() never fires, so prepending a path raises the
-        # degree of every component by exactly the path length.  Probes use
-        # this to turn windowed span checks into genuine certificates.
-        self.free_prepend = False
 
-    # subclass hooks -----------------------------------------------------
+    # the bottom layer -----------------------------------------------------
 
     def slot_list(self, max_degree):
-        raise NotImplementedError
+        return list(self.slots)
 
     def slot_base(self, slot):
-        raise NotImplementedError
+        return self.slots[slot][0]
 
     def slot_degree(self, slot):
         return 0
 
     def slot_rank(self, slot):
-        raise NotImplementedError
+        return self.slots[slot][2]
 
     def slot_name(self, slot):
-        raise NotImplementedError
+        return self.slots[slot][1]
 
     def slot_ghost(self, arrow, slot):
-        raise NotImplementedError
+        return dict(self.ghost.get((arrow, slot), ()))
+
+    def bare(self, slot):
+        """The label of the bare slot vector."""
+        return (Path.vertex(self.slot_base(slot)), slot)
+
+    # identifications --------------------------------------------------------
+
+    @cached_property
+    def rules(self):
+        """Each identified label with the vector it rewrites to.
+
+        At a regular vertex u the summation relation makes every slot w
+        based at u equal to its image, the sum over arrows e leaving u of
+        e applied to e* w.  The images go into one echelon keyed by
+        label_sort_key and tagged with their slots.  Each pivot label is
+        identified with its row's tag, bare slots at u, minus the row's
+        tail.  The pivot set of a span does not depend on the insertion
+        order, so the rules are canonical.
+        """
+        field = self.field
+        exempt = set(self.metadata.get("ck2_exempt", ()))
+        ech = SpanEchelon(field, self.label_sort_key)
+        for u in self.graph.vertices:
+            if u in exempt or self.graph.classify_vertex(u) != "regular":
+                continue
+            for w, (base, name, _) in self.slots.items():
+                if base != u:
+                    continue
+                image = {
+                    (mu.prepend(e), s): c
+                    for e in self.graph.out_arrows(u)
+                    for (mu, s), c in self.ghost.get((e, w), {}).items()
+                }
+                if ech.insert(image, {self.bare(w): field.one})[2] is None:
+                    raise PreconditionError(
+                        f"the slot images at regular vertex {u} are dependent, "
+                        f"so the summation relation collapses {name}"
+                    )
+        return {
+            pivot: {**ech.tags[pivot], **{k: -c for k, c in row.items() if k != pivot}}
+            for pivot, row in ech.rows.items()
+        }
+
+    @cached_property
+    def _suffixes(self):
+        # The rules keyed by (arrows of the pivot path, slot), and the pivot
+        # lengths: a label is identified when a suffix of its path is a pivot.
+        # A pivot ending in another would leave two rewrites for one label
+        # and normal forms that need not be independent.
+        table = {(mu.arrows, slot): rhs for (mu, slot), rhs in self.rules.items()}
+        for arrows, slot in table:
+            if any((arrows[k:], slot) in table for k in range(1, len(arrows))):
+                raise PreconditionError(
+                    f"the identified label {self.label_str((Path.of_arrows(arrows), slot))} "
+                    "ends in another identified label"
+                )
+        return table, sorted({len(mu) for mu, _ in self.rules})
+
+    @property
+    def free_prepend(self):
+        """True when no label is identified away, so prepending a path
+        raises the degree of every component by exactly the path length.
+        Probes use this to turn windowed span checks into certificates."""
+        return not self.rules
 
     def excluded(self, mu, slot):
+        table, lengths = self._suffixes
+        arrows = mu.arrows
+        for k in lengths:
+            if (arrows[-k:], slot) in table:
+                return True
         return False
 
     def rewrite_step(self, mu, slot):
-        raise PreconditionError("module declares no identifications")
+        table, lengths = self._suffixes
+        for k in lengths:
+            rhs = table.get((mu.arrows[-k:], slot))
+            if rhs is not None:
+                break
+        else:
+            raise PreconditionError(f"{self.label_str((mu, slot))} is not identified")
+        nu = mu
+        for _ in range(k):
+            nu = nu.drop_last()
+        return [(nu if p.is_vertex else nu.concat(p), s, c) for (p, s), c in rhs.items()]
 
     # labels ---------------------------------------------------------------
 
@@ -85,7 +166,12 @@ class PrefixModule:
     def canonical_into(self, acc, mu, slot, coeff):
         """Accumulate coeff times the class of (mu, slot) over legal labels."""
         if mu.is_vertex or not self.excluded(mu, slot):
-            vec_add_into(self.field, acc, {(mu, slot): self.field.one}, coeff)
+            label = (mu, slot)
+            val = acc.get(label, self.field.zero) + coeff
+            if val:
+                acc[label] = val
+            else:
+                acc.pop(label, None)
             return acc
         for mu2, slot2, scalar in self.rewrite_step(mu, slot):
             self.canonical_into(acc, mu2, slot2, coeff * scalar)
@@ -265,7 +351,9 @@ class ChenModule(PrefixModule):
     Labels are words in normal form.  For an eventually periodic word the
     slots are the rotations of the primitive cycle; for a generator backed
     word the slots are the shift offsets into the generator, and labeling
-    is faithful when the generator is registered aperiodic.
+    is faithful when the generator is registered aperiodic.  The slots of
+    a generator backed word grow with the degree, and the word identifies
+    at non-regular vertices too, so Chen modules keep their own hooks.
     """
 
     def __init__(self, graph, field, word, family_cap=2):
@@ -273,12 +361,8 @@ class ChenModule(PrefixModule):
         self.word = word
         self.cycle_slots = None
         if isinstance(word.tail, CycleTail):
-            c = word.tail.cycle
-            m = len(c)
-            self.cycle_slots = []
-            for j in range(m):
-                rot = Path.of_arrows(c.arrows[j:] + c.arrows[:j])
-                self.cycle_slots.append(rot)
+            c = word.tail.cycle.arrows
+            self.cycle_slots = [Path.of_arrows(c[j:] + c[:j]) for j in range(len(c))]
             self.generator_label = (word.prefix, ("rot", 0))
         else:
             self.tail = word.tail
@@ -288,6 +372,11 @@ class ChenModule(PrefixModule):
             "word": str(word),
             "rational": self.cycle_slots is not None,
         }
+
+    @property
+    def free_prepend(self):
+        # Every label ending in the word's letter before its slot is identified.
+        return False
 
     def slot_list(self, max_degree):
         if self.cycle_slots is not None:
@@ -316,13 +405,11 @@ class ChenModule(PrefixModule):
     def slot_ghost(self, arrow, slot):
         kind, j = slot
         if kind == "rot":
-            rot = self.cycle_slots[j]
-            if arrow == rot.arrows[0]:
-                nxt = (j + 1) % len(self.cycle_slots)
-                return {(Path.vertex(self.slot_base(("rot", nxt))), ("rot", nxt)): self.field.one}
+            if arrow == self.cycle_slots[j].arrows[0]:
+                return {self.bare(("rot", (j + 1) % len(self.cycle_slots))): self.field.one}
             return {}
         if arrow == self.tail.fn(j):
-            return {(Path.vertex(self.slot_base(("off", j + 1))), ("off", j + 1)): self.field.one}
+            return {self.bare(("off", j + 1)): self.field.one}
         return {}
 
     def excluded(self, mu, slot):
@@ -363,29 +450,14 @@ class CohnJacobsonModule(PrefixModule):
                 f"vertex {v} is regular, so the summation relation would "
                 "collapse the bare vector"
             )
-        self.v = v
-        self.generator_label = (Path.vertex(v), "s")
-        self.free_prepend = True
+        self.slots = {"s": (v, "s", 0)}
+        self.ghost = {}
+        self.generator_label = self.bare("s")
         self.metadata = {
             "kind": "cohn_jacobson",
             "vertex": v,
             "variant": graph.classify_vertex(v),
         }
-
-    def slot_list(self, max_degree):
-        return ["s"]
-
-    def slot_base(self, slot):
-        return self.v
-
-    def slot_rank(self, slot):
-        return 0
-
-    def slot_name(self, slot):
-        return "s"
-
-    def slot_ghost(self, arrow, slot):
-        return {}
 
 
 def cohn_jacobson_module(graph, field, v, family_cap=2):
@@ -400,10 +472,11 @@ class RangaswamyModule(PrefixModule):
 
     delta is a closed path a_1...a_n and q a monic polynomial of degree l
     with nonzero constant term.  The bottom layer carries slots h0 to
-    h(nl-1); the ghost action climbs the chain at regular junctions and
-    folds the top slot back through the coefficients of q.  Junctions at
-    infinite emitters carry no identifications, which is where the extra
-    socle layers of the infinite emitter case come from.
+    h(nl-1), slot i based at the source of a_(i mod n + 1); the ghost of
+    that arrow climbs from slot i to slot i+1 at regular junctions, and
+    the ghost of a_n folds the top slot back through the coefficients of q.
+    Junctions at infinite emitters neither climb nor identify, which is
+    where the extra socle layers of the infinite emitter case come from.
     """
 
     def __init__(self, graph, field, delta, q, family_cap=2):
@@ -420,11 +493,15 @@ class RangaswamyModule(PrefixModule):
         irr = is_irreducible(field, self.q)
         if irr is False:
             raise PreconditionError("q must be irreducible")
-        self.generator_label = (Path.vertex(self._base(self.size - 1)), self.size - 1)
-        self.free_prepend = all(
-            graph.classify_vertex(a.source) == "infinite_emitter"
-            for a in delta.arrows
-        )
+        arrows = delta.arrows
+        self.slots = {i: (arrows[i % self.n].source, f"h{i}", i) for i in range(self.size)}
+        top = self.size - 1
+        fold = {self.bare(t * self.n): -c for t, c in enumerate(self.q[:-1]) if c}
+        self.ghost = {(arrows[-1], top): fold}
+        for i in range(top):
+            if graph.is_regular(arrows[i % self.n].source):
+                self.ghost[(arrows[i % self.n], i)] = {self.bare(i + 1): field.one}
+        self.generator_label = self.bare(top)
         self.metadata = {
             "kind": "rangaswamy",
             "delta": str(delta),
@@ -434,57 +511,6 @@ class RangaswamyModule(PrefixModule):
                 str(a): graph.classify_vertex(a.source) for a in delta.arrows
             },
         }
-
-    def _chain_arrow(self, i):
-        # The arrow whose prepend steps slot i down to slot i-1, indices mod n.
-        return self.delta.arrows[(i - 1) % self.n]
-
-    def _base(self, i):
-        arrows = self.delta.arrows
-        j = i % self.n
-        return arrows[0].source if j == 0 else arrows[j - 1].target
-
-    def slot_list(self, max_degree):
-        return list(range(self.size))
-
-    def slot_base(self, slot):
-        return self._base(slot)
-
-    def slot_rank(self, slot):
-        return slot
-
-    def slot_name(self, slot):
-        return f"h{slot}"
-
-    def slot_ghost(self, arrow, slot):
-        one = self.field.one
-        if slot == self.size - 1:
-            if arrow == self._chain_arrow(0):
-                return {
-                    (Path.vertex(self._base(t * self.n)), t * self.n): -self.q[t]
-                    for t in range(self.l)
-                    if self.q[t]
-                }
-            return {}
-        nxt = self._chain_arrow(slot + 1)
-        if arrow == nxt and self.graph.is_regular(nxt.source):
-            return {(Path.vertex(self._base(slot + 1)), slot + 1): one}
-        return {}
-
-    def excluded(self, mu, slot):
-        d = self._chain_arrow(slot)
-        return mu.arrows[-1] == d and self.graph.is_regular(d.source)
-
-    def rewrite_step(self, mu, slot):
-        mu2 = mu.drop_last()
-        if slot >= 1:
-            return [(mu2, slot - 1, self.field.one)]
-        # Folding past the bottom slot inverts the constant coefficient.
-        inv = self.field.one / self.q[0]
-        out = [(mu2, self.size - 1, -inv)]
-        for t in range(1, self.l):
-            out.append((mu2, t * self.n - 1, -inv * self.q[t]))
-        return out
 
 
 def rangaswamy_module(graph, field, delta, q, family_cap=2):
@@ -526,8 +552,6 @@ class ManteseModule(PrefixModule):
 
     def __init__(self, graph, field, v, weights, family_cap=2):
         super().__init__(graph, field, family_cap)
-        graph.classify_vertex(v)
-        self.v = v
         self.variant = graph.classify_vertex(v)
         if isinstance(weights, dict):
             weights = list(weights.items())
@@ -547,15 +571,13 @@ class ManteseModule(PrefixModule):
             missing = [a for a in graph.out_arrows(v) if a not in self.weights]
             if missing:
                 raise PreconditionError(f"missing weights for {missing}")
-        loops = [a for a in self.weights if a.target == v]
-        if len(loops) < 2:
+        if sum(a.target == v for a in self.weights) < 2:
             raise PreconditionError("the weight tuple must cover at least two loops")
-        nonzero = [a for a, r in sorted(self.weights.items(), key=lambda kv: kv[0].key) if r]
-        if not nonzero:
+        if not any(self.weights.values()):
             raise PreconditionError("at least one weight must be nonzero")
-        self.wrap_arrow = nonzero[-1] if self.variant == "regular" else None
-        self.generator_label = (Path.vertex(v), "m")
-        self.free_prepend = self.variant == "infinite_emitter"
+        self.slots = {"m": (v, "vbar", 0)}
+        self.generator_label = self.bare("m")
+        self.ghost = {(a, "m"): {self.generator_label: r} for a, r in self.weights.items() if r}
         self.metadata = {
             "kind": "mantese",
             "variant": self.variant,
@@ -563,42 +585,11 @@ class ManteseModule(PrefixModule):
             "weights": {str(a): str(r) for a, r in self.weights.items()},
         }
 
-    def slot_list(self, max_degree):
-        return ["m"]
-
-    def slot_base(self, slot):
-        return self.v
-
-    def slot_rank(self, slot):
-        return 0
-
-    def slot_name(self, slot):
-        return "vbar"
-
-    def slot_ghost(self, arrow, slot):
-        r = self.weights.get(arrow)
-        if r:
-            return {(Path.vertex(self.v), "m"): r}
-        return {}
-
-    def excluded(self, mu, slot):
-        return self.wrap_arrow is not None and mu.arrows[-1] == self.wrap_arrow
-
-    def rewrite_step(self, mu, slot):
-        mu2 = mu.drop_last()
-        inv = self.field.one / self.weights[self.wrap_arrow]
-        out = [(mu2, "m", inv)]
-        for arrow, r in sorted(self.weights.items(), key=lambda kv: kv[0].key):
-            if arrow == self.wrap_arrow or not r:
-                continue
-            out.append((mu2.concat(arrow), "m", -inv * r))
-        return out
-
     def socle_generator(self):
         """The weighted sum minus the vertex; every ghost arrow kills it."""
         if self.variant != "infinite_emitter":
             raise PreconditionError("the socle generator exists at infinite emitters")
-        vec = {(Path.vertex(self.v), "m"): -self.field.one}
+        vec = {self.bare("m"): -self.field.one}
         for arrow, r in self.weights.items():
             if r:
                 vec[(Path.of_arrows((arrow,)), "m")] = r
@@ -619,9 +610,10 @@ class LinearExampleModule(PrefixModule):
     the plane spanned by vbar and w with a* mapping vbar to w, b* mapping
     w back to vbar, and a* acting on w either as the identity (linear) or
     as identity plus the step back (nonlinear).  At an infinite emitter the
-    induced space is the module; at a regular vertex the summation
-    relation collapses the layer and labels ending in a.b are identified
-    away.
+    induced space is the module.  At a regular vertex the layer collapses
+    to vbar, with a* mapping it to vbar + b.vbar (linear) or vbar + a.vbar
+    (nonlinear), and the summation relation identifies labels ending in
+    a.b (linear) or a.a (nonlinear).
     """
 
     def __init__(self, graph, field, a, b, twist="linear", family_cap=2):
@@ -636,11 +628,25 @@ class LinearExampleModule(PrefixModule):
         self.a, self.b = a, b
         self.v = a.source
         self.twist = twist
+        # the arrow whose b-extension (linear) or whose square (nonlinear)
+        # closes the defining relation
+        self.tail = b if twist == "linear" else a
         self.variant = graph.classify_vertex(self.v)
         if self.variant == "regular" and set(graph.out_arrows(self.v)) != {a, b}:
             raise PreconditionError("a regular base vertex must emit exactly a and b")
-        self.generator_label = (Path.vertex(self.v), "vbar")
-        self.free_prepend = self.variant == "infinite_emitter"
+        one = field.one
+        self.slots = {"vbar": (self.v, "vbar", 0)}
+        vbar = self.generator_label = self.bare("vbar")
+        if self.variant == "infinite_emitter":
+            self.slots["w"] = (self.v, "w", 1)
+            w = self.bare("w")
+            self.ghost = {(a, "vbar"): {w: one}, (a, "w"): {w: one}}
+            if twist == "linear":
+                self.ghost[(b, "w")] = {vbar: one}
+            else:
+                self.ghost[(a, "w")][vbar] = one
+        else:
+            self.ghost = {(a, "vbar"): {vbar: one, (Path.of_arrows((self.tail,)), "vbar"): one}}
         self.metadata = {
             "kind": "linear_example",
             "variant": self.variant,
@@ -653,64 +659,14 @@ class LinearExampleModule(PrefixModule):
             return f"{self.v} - {self.a} - {self.a}.{self.b}"
         return f"{self.v} - {self.a}.{self.a} - {self.a}"
 
-    def slot_list(self, max_degree):
-        if self.variant == "infinite_emitter":
-            return ["vbar", "w"]
-        return ["vbar"]
-
-    def slot_base(self, slot):
-        return self.v
-
-    def slot_rank(self, slot):
-        return 0 if slot == "vbar" else 1
-
-    def slot_name(self, slot):
-        return slot
-
-    def _lab(self, slot):
-        return (Path.vertex(self.v), slot)
-
-    def slot_ghost(self, arrow, slot):
-        one = self.field.one
-        if self.variant == "infinite_emitter":
-            if arrow == self.a:
-                if slot == "vbar":
-                    return {self._lab("w"): one}
-                if self.twist == "linear":
-                    return {self._lab("w"): one}
-                return {self._lab("w"): one, self._lab("vbar"): one}
-            if arrow == self.b and slot == "w" and self.twist == "linear":
-                return {self._lab("vbar"): one}
-            return {}
-        if arrow == self.a:
-            if self.twist == "linear":
-                return {self._lab("vbar"): one, (Path.of_arrows((self.b,)), "vbar"): one}
-            return {self._lab("vbar"): one, (Path.of_arrows((self.a,)), "vbar"): one}
-        return {}
-
-    def _tail(self):
-        # the arrow whose square (nonlinear) or whose b-extension (linear)
-        # closes the defining relation, fixing the excluded suffix
-        return self.b if self.twist == "linear" else self.a
-
-    def excluded(self, mu, slot):
-        if self.variant == "infinite_emitter":
-            return False
-        return len(mu) >= 2 and mu.arrows[-2:] == (self.a, self._tail())
-
-    def rewrite_step(self, mu, slot):
-        nu = mu.drop_last().drop_last()
-        one = self.field.one
-        return [(nu, "vbar", one), (nu.concat(self.a), "vbar", -one)]
-
     def relation_vector(self):
         """The image of the defining relation applied to vbar."""
         one = self.field.one
         pa = Path.of_arrows((self.a,))
         return {
-            self._lab("vbar"): one,
+            self.bare("vbar"): one,
             (pa, "vbar"): -one,
-            (pa.concat(self._tail()), "vbar"): -one,
+            (pa.concat(self.tail), "vbar"): -one,
         }
 
 
@@ -753,7 +709,6 @@ class HilbertModule(PrefixModule):
         super().__init__(graph, field, family_cap)
         if algebra.field != field:
             raise PreconditionError("algebra and module fields differ")
-        self.v = v
         self.algebra = algebra
         self.phi = {}
         for arrow, value in phi.items():
@@ -765,8 +720,13 @@ class HilbertModule(PrefixModule):
         variant = graph.classify_vertex(v)
         if variant == "sink":
             raise PreconditionError("the base vertex must emit at least one arrow")
-        self.generator_label = (Path.vertex(v), algebra.unit_label)
-        self.free_prepend = True
+        self.slots = {k: (v, k, i) for i, k in enumerate(algebra.labels)}
+        self.ghost = {
+            (arrow, k): {(Path.vertex(v), j): c for j, c in (value * algebra.basis(k)).coords.items()}
+            for arrow, value in self.phi.items()
+            for k in algebra.labels
+        }
+        self.generator_label = self.bare(algebra.unit_label)
         images = [x for x in self.phi.values() if x.coords]
         generating = _generated_subalgebra_dim(algebra, images) == algebra.dim
         self.metadata = {
@@ -789,27 +749,6 @@ class HilbertModule(PrefixModule):
                 "induced space of a regular vertex: the summation relation "
                 "holds only in the simple quotient"
             )
-
-    def slot_list(self, max_degree):
-        return list(self.algebra.labels)
-
-    def slot_base(self, slot):
-        return self.v
-
-    def slot_rank(self, slot):
-        return self.algebra.labels.index(slot)
-
-    def slot_name(self, slot):
-        return slot
-
-    def slot_ghost(self, arrow, slot):
-        value = self.phi.get(arrow)
-        if value is None:
-            return {}
-        image = value * self.algebra.basis(slot)
-        return {
-            (Path.vertex(self.v), k): c for k, c in image.coords.items()
-        }
 
 
 def hilbert_module(graph, field, v, algebra, phi, family_cap=2):

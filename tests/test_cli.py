@@ -11,6 +11,8 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -441,6 +443,20 @@ def test_parse_errors_exit_2(tmp_path, rose2_file):
     bad_graph = tmp_path / "bad.graph"
     bad_graph.write_text("[arrows]\na: v -> v\n")
     assert run_cli(["nf", "--graph", str(bad_graph), "v"])[0] == 2
+
+
+def test_zero_denominator_in_prime_field_exits_2(rose2_file):
+    # a subprocess, so that an escaping exception shows as a traceback
+    code = "import sys; from leavitt.cli import main; sys.exit(main(sys.argv[1:]))"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = ["nf", "--graph", rose2_file, "--field", "gf:5", "1/5 x1"]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "1/5" in done.stderr
 
 
 def test_precondition_errors_exit_3(loopfam_file):

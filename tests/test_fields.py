@@ -60,6 +60,14 @@ def test_rational_field_is_exact(a, b):
         assert (x * y) / y == x
 
 
+def test_prime_field_parse_rejects_zero_denominators():
+    gf = parse_field("gf:5")
+    assert gf.parse("3/2") == gf.of(4)
+    for bad in ("1/5", "1/0", "2/10"):
+        with pytest.raises(ParseError):
+            gf.parse(bad)
+
+
 def test_prime_field_inverses():
     f = parse_field("gf:11")
     for r in range(1, 11):

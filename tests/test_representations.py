@@ -1,17 +1,22 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from leavitt import (
     Path,
+    PrefixModule,
     SchreierStaircase,
     chen_module,
     cohn_jacobson_module,
     field_extension,
     hilbert_module,
+    is_irreducible,
     linear_example_module,
     mantese_module,
     mantese_rangaswamy_presentation,
     mono_str,
     parse_element,
+    parse_field,
+    parse_graph,
     parse_path,
     periodic_word,
     quaternion_algebra,
@@ -23,6 +28,8 @@ from leavitt import (
     verify_representation,
 )
 from leavitt.errors import PreconditionError
+
+from conftest import ROSE3, SINK3
 
 
 def loops(graph, *names):
@@ -318,6 +325,130 @@ def test_hilbert_module_reports_non_generating_images(roseab, q):
     assert good.metadata["generating"] is True
     with pytest.raises(PreconditionError):
         hilbert_module(roseab, q, "v", A, {a: A.element({}), b: A.element({})})
+
+
+# -- identifications derived from the summation relation --------------------------------
+
+
+def labeled(graph, vec):
+    """Labels written as (path text, slot); the text may be a vertex."""
+    return {(parse_path(graph, mu), slot): c for (mu, slot), c in vec.items()}
+
+
+def test_rangaswamy_rules_are_derived(rose2, q):
+    M = rangaswamy_module(rose2, q, parse_path(rose2, "x1"), [q.one, q.one, q.one])
+    assert M.rules == {
+        (parse_path(rose2, "x1"), 1): labeled(rose2, {("v", 0): q.one}),
+        (parse_path(rose2, "x1"), 0): labeled(rose2, {("v", 1): -q.one, ("v", 0): -q.one}),
+    }
+    # the fold past the bottom slot divides by the constant coefficient
+    M = rangaswamy_module(rose2, q, parse_path(rose2, "x1.x2"), [q.of(2), q.zero, q.one])
+    assert M.rules == {
+        (parse_path(rose2, "x1"), 1): labeled(rose2, {("v", 0): q.one}),
+        (parse_path(rose2, "x2"), 2): labeled(rose2, {("v", 1): q.one}),
+        (parse_path(rose2, "x1"), 3): labeled(rose2, {("v", 2): q.one}),
+        (parse_path(rose2, "x2"), 0): labeled(rose2, {("v", 3): q.of(-1) / q.of(2)}),
+    }
+
+
+def test_mantese_rules_are_derived(roseab, q):
+    a, b = loops(roseab, "a", "b")
+    M = mantese_module(roseab, q, "v", {a: q.one, b: q.of(2)})
+    half = q.one / q.of(2)
+    assert M.rules == {
+        (parse_path(roseab, "b"), "m"): labeled(roseab, {("v", "m"): half, ("a", "m"): -half}),
+    }
+    # the rewrite keeps the path length: it descends in the label order
+    assert M.vector_str(M.arrow_apply(b, M.generator_vector())) == "1/2 vbar - 1/2 a.vbar"
+
+
+def test_linear_example_rules_are_derived(roseab, q):
+    a, b = loops(roseab, "a", "b")
+    for twist, suffix in (("linear", "a.b"), ("nonlinear", "a.a")):
+        M = linear_example_module(roseab, q, a, b, twist)
+        assert M.rules == {
+            (parse_path(roseab, suffix), "vbar"): labeled(
+                roseab, {("v", "vbar"): q.one, ("a", "vbar"): -q.one}
+            ),
+        }
+
+
+def test_modules_without_identifications_have_no_rules(abfam, sink3, roseab, q):
+    a, b = loops(abfam, "a", "b")
+    assert mantese_module(abfam, q, "v", {a: q.one, b: q.one}).rules == {}
+    assert cohn_jacobson_module(sink3, q, "w").rules == {}
+    A = quaternion_algebra(q, 1, 1)
+    ra, rb = loops(roseab, "a", "b")
+    # a regular vertex listed under ck2_exempt identifies nothing
+    assert hilbert_module(roseab, q, "v", A, {ra: A.basis("i"), rb: A.basis("j")}).rules == {}
+
+
+def test_dependent_slot_images_are_rejected(rose2, q):
+    M = PrefixModule(rose2, q)
+    M.slots = {"s": ("v", "s", 0)}
+    M.ghost = {}
+    with pytest.raises(PreconditionError, match="vertex v"):
+        M.rules
+
+
+def test_nested_identified_labels_are_rejected(rose2, q):
+    # pivots of different lengths on different slots: x1.x1.t and x2.s
+    x1, x2 = loops(rose2, "x1", "x2")
+    M = PrefixModule(rose2, q)
+    M.slots = {"s": ("v", "s", 0), "t": ("v", "t", 1)}
+    M.ghost = {
+        (x1, "s"): labeled(rose2, {("x1", "t"): q.one}),
+        (x2, "t"): labeled(rose2, {("v", "s"): q.one}),
+    }
+    assert set(M.rules) == {(parse_path(rose2, "x1.x1"), "t"), (parse_path(rose2, "x2"), "s")}
+    assert not M.excluded(parse_path(rose2, "x1"), "t")
+    assert M.excluded(parse_path(rose2, "x2.x1.x1"), "t")
+    # the pivot x1.x1.x1.s ends in the pivot x1.s
+    M = PrefixModule(rose2, q)
+    M.slots = {"s": ("v", "s", 0), "t": ("v", "t", 1)}
+    M.ghost = {
+        (x1, "s"): labeled(rose2, {("x1.x1", "s"): q.one}),
+        (x1, "t"): labeled(rose2, {("v", "s"): q.one}),
+    }
+    with pytest.raises(PreconditionError, match="ends in another"):
+        M.excluded(parse_path(rose2, "x1"), "s")
+
+
+GF7 = parse_field("gf:7")
+ROSE3_GRAPH = parse_graph(ROSE3)
+SINK3_GRAPH = parse_graph(SINK3)
+
+
+@st.composite
+def rangaswamy_inputs(draw):
+    if draw(st.booleans()):
+        graph = ROSE3_GRAPH
+        word = draw(st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, max_size=2))
+        delta = parse_path(graph, ".".join(word))
+    else:
+        graph = SINK3_GRAPH
+        delta = parse_path(graph, draw(st.sampled_from(["e.g", "g.e"])))
+    low = draw(st.lists(st.integers(0, 6), min_size=1, max_size=2))
+    assume(low[0])
+    q = [GF7.of(c) for c in low] + [GF7.one]
+    assume(is_irreducible(GF7, q))
+    return graph, delta, q
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rangaswamy_inputs())
+def test_random_rangaswamy_modules_verify(inputs):
+    graph, delta, q = inputs
+    assert_verifies(rangaswamy_module(graph, GF7, delta, q), 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=3, max_size=3).filter(any))
+def test_random_regular_mantese_modules_verify(weights):
+    arrows = loops(ROSE3_GRAPH, "x1", "x2", "x3")
+    M = mantese_module(ROSE3_GRAPH, GF7, "v", dict(zip(arrows, map(GF7.of, weights))))
+    assert M.rules and not M.free_prepend
+    assert_verifies(M, 4)
 
 
 # -- ideal presentations ----------------------------------------------------------------

@@ -16,3 +16,20 @@ def test_tracer_instruments_the_library():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_tracer_bindings_cover_every_module():
+    # The tracer times these on PrefixModule only, so an override in a
+    # subclass would run outside the benchmark's spans.
+    from leavitt import representations
+
+    traced = {"labels", "act_vertex", "act_arrow", "act_ghost"}
+    subclasses = [
+        cls
+        for cls in vars(representations).values()
+        if isinstance(cls, type) and issubclass(cls, representations.PrefixModule)
+    ]
+    assert len(subclasses) > 1
+    for cls in subclasses:
+        if cls is not representations.PrefixModule:
+            assert not traced & set(vars(cls)), cls.__name__
