@@ -5,11 +5,35 @@ exact; there is no floating point anywhere.  A field is the only maker of its
 scalars: ints and text enter through ``field.of`` and ``field.parse``.  Scalars
 are never mutated, so ``field.zero`` and ``field.one`` are constants that every
 caller shares.
+
+Each field also has a native codec for the elimination kernel:
+``native(x)`` turns a scalar of the field into the plain value the kernel
+computes with, ``scalar(n)`` turns such a value back, and
+``native_inverse(n)`` inverts it.  Over GF(p) a native value is the int
+residue in [0, p); over Q it is an int while integral and a Fraction
+otherwise.  ``native`` keeps the same-field contract: a value of any other
+type, a float included, raises TypeError, and a GF scalar of another
+modulus raises PreconditionError.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
+
+
+def _residue(x, p):
+    """The residue of a GF(p) scalar; anything else is refused."""
+    if x.__class__ is not GFScalar:
+        raise TypeError(f"cannot combine GF({p}) with {type(x).__name__}")
+    if x.p != p:
+        raise PreconditionError(f"mixed moduli {p} and {x.p}")
+    return x.residue
+
+
+def _inverse_mod(r, p):
+    if r % p == 0:
+        raise ZeroDivisionError(f"inverse of 0 in GF({p})")
+    return pow(r, -1, p)
 
 
 class GFScalar:
@@ -27,33 +51,24 @@ class GFScalar:
         self.residue = residue % p
         self.p = p
 
-    def _residue_of(self, other):
-        if other.__class__ is not GFScalar:
-            raise TypeError(f"cannot combine GF({self.p}) with {type(other).__name__}")
-        if other.p != self.p:
-            raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
-        return other.residue
-
     def __add__(self, other):
-        return GFScalar(self.residue + self._residue_of(other), self.p)
+        return GFScalar(self.residue + _residue(other, self.p), self.p)
 
     def __sub__(self, other):
-        return GFScalar(self.residue - self._residue_of(other), self.p)
+        return GFScalar(self.residue - _residue(other, self.p), self.p)
 
     def __mul__(self, other):
-        return GFScalar(self.residue * self._residue_of(other), self.p)
+        return GFScalar(self.residue * _residue(other, self.p), self.p)
 
     def __truediv__(self, other):
-        self._residue_of(other)
-        return self * other.inverse()
+        p = self.p
+        return GFScalar(self.residue * _inverse_mod(_residue(other, p), p), p)
 
     def __neg__(self):
         return GFScalar(-self.residue, self.p)
 
     def inverse(self):
-        if self.residue == 0:
-            raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
-        return GFScalar(pow(self.residue, self.p - 2, self.p), self.p)
+        return GFScalar(_inverse_mod(self.residue, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, GFScalar):
@@ -119,6 +134,22 @@ class RationalField:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 
+    def native(self, x):
+        cls = x.__class__
+        if cls is int:
+            return x
+        if cls is Fraction:
+            return x.numerator if x.denominator == 1 else x
+        raise TypeError(f"cannot use {type(x).__name__} as a rational")
+
+    def scalar(self, n):
+        return Fraction(n) if n.__class__ is int else n
+
+    def native_inverse(self, n):
+        if n == 1 or n == -1:
+            return n
+        return self.native(Fraction(1, n))
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -159,6 +190,15 @@ class PrimeField:
             return self.of(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad GF({self.p}) literal {text!r}") from exc
+
+    def native(self, x):
+        return _residue(x, self.p)
+
+    def scalar(self, n):
+        return GFScalar(n, self.p)
+
+    def native_inverse(self, n):
+        return _inverse_mod(n, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -21,6 +21,7 @@ from leavitt import (
     linear_example_module,
     mantese_module,
     mantese_rangaswamy_presentation,
+    not_open_up_to,
     parse_element,
     parse_field,
     parse_path,
@@ -30,6 +31,7 @@ from leavitt import (
     simplicity_probe,
     thue_morse_word,
 )
+from leavitt.errors import PreconditionError
 from leavitt.linalg import SpanEchelon, vec_add_into
 from leavitt.probes import Closure, prefix_ops, span_closure
 
@@ -144,6 +146,113 @@ def test_span_echelon_agrees_with_dense_span(system, rng):
         assert not set(rem) & set(ech.rows)
         assert rem == other.reduce(vec)[0]
         assert dense.member(vec_add_into(field, dict(vec), rem, -field.one))
+
+
+def handed_out(field, *vecs):
+    """Whether every value of vecs is a scalar of field: a GFScalar of its
+    modulus, or a Fraction over Q; never an int or a float."""
+    kind = type(field.one)
+    return all(type(c) is kind and field.of(c) is c for vec in vecs for c in vec.values())
+
+
+@pytest.mark.parametrize("op", ["insert", "reduce", "contains", "insert tag"])
+def test_span_echelon_refuses_foreign_scalars(op):
+    gf7 = parse_field("gf:7")
+    ech = SpanEchelon(gf7, lambda k: k)
+    ech.insert({0: gf7.one, 1: gf7.of(3)}, {"r": gf7.one})
+
+    def call(coeff):
+        if op == "insert tag":
+            return ech.insert({2: gf7.one}, {"s": coeff})
+        return getattr(ech, op)({1: gf7.one, 0: coeff})
+
+    with pytest.raises(TypeError):
+        call(2)
+    with pytest.raises(PreconditionError):
+        call(parse_field("gf:5").of(2))
+    assert ech.rank == 1
+
+
+@given(sparse_systems())
+def test_span_echelon_hands_out_field_scalars(system):
+    field, n, rows, probes, order = system
+    ech = SpanEchelon(field, order.index)
+    for i, row in enumerate(rows):
+        rem, combo, _ = ech.insert(row, {i: field.one})
+        assert handed_out(field, rem, combo)
+    for vec in probes + rows:
+        assert handed_out(field, *ech.reduce(vec))
+    assert handed_out(field, *ech.kernel(list(range(n))))
+    assert handed_out(field, *ech.rows.values(), *ech.tags.values())
+
+
+@st.composite
+def rational_rows(draw):
+    """Rows over keys 0..4 with coefficients from a few drawn fractions."""
+    pool = draw(st.lists(st.fractions(-9, 9, max_denominator=12), min_size=1, max_size=4))
+    coeffs = st.dictionaries(st.integers(0, 4), st.sampled_from(pool), min_size=1, max_size=5)
+    return draw(st.lists(coeffs, max_size=8))
+
+
+@given(rational_rows())
+def test_span_echelon_over_q_stores_no_floats(rows):
+    q = parse_field("q")
+    ech = SpanEchelon(q, lambda k: k)
+    dense = DenseSpan(q)
+    for i, row in enumerate(rows):
+        rem, combo, _ = ech.insert(row, {i: q.one})
+        dense.insert(row)
+        assert handed_out(q, rem, combo)
+    assert ech.rank == dense.rank
+    assert handed_out(q, *ech.rows.values(), *ech.tags.values())
+    assert all(ech.rows[p][p] == q.one for p in ech.rows)
+    assert handed_out(q, *ech.kernel(range(5)))
+    with pytest.raises(TypeError):
+        ech.reduce({0: 0.5})
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_derived_rules_hold_field_scalars(rose2, roseab, tag):
+    field = parse_field(tag)
+    a, b = loops(roseab, "a", "b")
+    modules = (
+        rangaswamy_module(rose2, field, parse_path(rose2, "x1.x2"), [field.of(2), field.zero, field.one]),
+        mantese_module(roseab, field, "v", {a: field.one, b: field.of(2)}),
+    )
+    for M in modules:
+        assert M.rules
+        assert handed_out(field, *M.rules.values())
+
+
+def test_span_echelon_kernel_refuses_rows_on_foreign_keys(q):
+    ech = SpanEchelon(q, ["x0", "x1", "y"].index)
+    ech.insert({"x1": q.one, "y": q.one})
+    with pytest.raises(PreconditionError):
+        ech.kernel(["x0", "x1"])
+    assert ech.kernel(["x0", "x1", "y"]) == [{"x0": q.one}, {"x1": q.one, "y": -q.one}]
+
+
+def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
+    # Pins the kernel's work on the README quaternion ideal: a change to
+    # the elimination path changes these counts.
+    calls = {"insert": 0, "reduce": 0}
+    for name in calls:
+        method = getattr(SpanEchelon, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SpanEchelon, name, counted)
+    gf = parse_field("gf:32003")
+    gens = [parse_element(roseab, gf, t) for t in QUAT_GENS]
+    st = SchreierStaircase(roseab, gf, gens, 8)
+    assert calls == {"insert": 507, "reduce": 0}
+    assert len(st.rows) == 507 and len(st.coset) == 4
+    assert not_open_up_to(roseab, gf, st.membership, 8) == ("not_open_up_to", 8)
+    assert calls == {"insert": 507, "reduce": 9}
+    assert endomorphism_probe(st).dimension == 1
+    assert calls == {"insert": 530, "reduce": 51}
 
 
 # -- closures ---------------------------------------------------------------------
