@@ -119,15 +119,20 @@ class Element:
     # -- multiplication -------------------------------------------------
 
     def __mul__(self, other):
+        # (a1.b1*)(a2.b2*) survives only when b1 and a2 are prefix-comparable,
+        # so the right factor's real parts go into a trie and each left term
+        # meets only the right terms its ghost part can compose with, visited
+        # in the right factor's term order.
         self._compatible(other)
+        right = list(other.terms.items())
+        roots = _prefix_trie(right)
+        zero = self.field.zero
         terms = {}
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+            for j in _comparable(roots, b1):
+                (a2, b2), c2 = right[j]
                 mono = _mono_product(a1, b1, a2, b2)
-                if mono is None:
-                    continue
-                coeff = c1 * c2
-                acc = terms.get(mono, self.field.zero) + coeff
+                acc = terms.get(mono, zero) + c1 * c2
                 if acc:
                     terms[mono] = acc
                 else:
@@ -180,6 +185,51 @@ def _mono_product(a1, b1, a2, b2):
     return None
 
 
+def _prefix_trie(terms):
+    """Index the real parts of (mono, coeff) pairs by their arrows.
+
+    There is one root per base vertex and one level per arrow.  A node is a
+    triple (children by arrow, indices of the real parts ending here,
+    indices of the real parts passing through or ending here); both index
+    lists are ascending.
+    """
+    roots = {}
+    for j, ((alpha, _), _) in enumerate(terms):
+        node = roots.get(alpha.source)
+        if node is None:
+            node = roots[alpha.source] = ({}, [], [])
+        node[2].append(j)
+        for arrow in alpha.arrows:
+            children = node[0]
+            node = children.get(arrow)
+            if node is None:
+                node = children[arrow] = ({}, [], [])
+            node[2].append(j)
+        node[1].append(j)
+    return roots
+
+
+def _comparable(roots, beta):
+    """Ascending indices of the real parts that are prefix-comparable with beta.
+
+    Walking beta down the trie, the real parts ending at a node passed on
+    the way are proper prefixes of beta, and those in the subtree at the
+    end node extend or equal it.
+    """
+    node = roots.get(beta.source)
+    if node is None:
+        return ()
+    shorter = []
+    for arrow in beta.arrows:
+        shorter += node[1]
+        node = node[0].get(arrow)
+        if node is None:
+            return sorted(shorter)
+    if shorter:
+        return sorted(shorter + node[2])
+    return node[2]
+
+
 def _mono_sort_key(mono):
     alpha, beta = mono
     return (
@@ -217,18 +267,21 @@ def _format_term(mono, coeff, lead):
 # -- the Leavitt normal form ------------------------------------------------
 
 
-def _redex_arrow(graph, alpha, beta):
-    """The shared special last arrow making (alpha, beta) reducible, if any."""
+def _redex(graph, alpha, beta):
+    """The summation arrows at the vertex where (alpha, beta) reduces, if any.
+
+    A monomial is reducible when both sides end in the special arrow of a
+    common regular vertex; the arrows come special arrow first.
+    """
     if not alpha.arrows or not beta.arrows:
         return None
     g = alpha.arrows[-1]
-    if beta.arrows[-1] != g:
+    if beta.arrows[-1] is not g:
         return None
-    if graph.classify_vertex(g.source) != "regular":
+    out = graph.summation_arrows(g.source)
+    if out is None or out[0] is not g:
         return None
-    if graph.special_arrow(g.source) != g:
-        return None
-    return g
+    return out
 
 
 def normal_form(element):
@@ -244,27 +297,26 @@ def normal_form(element):
     work = list(element.terms.items())
     while work:
         (alpha, beta), coeff = work.pop()
-        g = _redex_arrow(graph, alpha, beta)
-        if g is None:
+        arrows = _redex(graph, alpha, beta)
+        if arrows is None:
             acc = out.get((alpha, beta), field.zero) + coeff
             if acc:
                 out[(alpha, beta)] = acc
             else:
                 out.pop((alpha, beta), None)
             continue
-        v = g.source
         a0, b0 = alpha.drop_last(), beta.drop_last()
         work.append(((a0, b0), coeff))
-        for e in graph.out_arrows(v):
-            if e == g:
-                continue
-            work.append(((a0.concat(e), b0.concat(e)), -coeff))
+        special = arrows[0]
+        for e in arrows:
+            if e is not special:
+                work.append(((a0.concat(e), b0.concat(e)), -coeff))
     return Element(graph, field, out)
 
 
 def is_normal_form(element):
     return all(
-        _redex_arrow(element.graph, a, b) is None for (a, b) in element.terms
+        _redex(element.graph, a, b) is None for (a, b) in element.terms
     )
 
 

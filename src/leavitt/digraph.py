@@ -12,12 +12,19 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ParseError, PreconditionError
 
 
-@dataclass(frozen=True, slots=True)
+# Every Arrow made in this process, by (name, source, target, index).  It
+# never shrinks: family members stay once drawn at an index.
+_ARROWS = {}
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Arrow:
     """A single arrow.  Family members carry the index they were drawn at.
 
-    Arrows are immutable values.  The sort key and the hash are computed
-    once, at construction, and kept in slots.
+    Arrows are interned: ``Arrow(name, source, target, index)`` returns the
+    one instance for that tuple, so equal arrows are the same object and
+    compare by identity.  The sort key and the hash are computed once, when
+    the instance is first made, and kept in slots.
     """
 
     name: str
@@ -26,35 +33,31 @@ class Arrow:
     index: int | None = None
     # Sort key.  Plain arrows compare before their own family members would,
     # and family members order by index.
-    key: tuple = dc_field(init=False, repr=False)
-    _hash: int = dc_field(init=False, repr=False)
+    key: tuple = dc_field(repr=False)
+    _hash: int = dc_field(repr=False)
 
-    def __post_init__(self):
-        key = (self.name,) if self.index is None else (self.name, self.index)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.source, self.target, self.index))
-        )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.name == other.name
-            and self.index == other.index
-            and self.source == other.source
-            and self.target == other.target
-        )
+    def __new__(cls, name, source, target, index=None):
+        spec = (name, source, target, index)
+        arrow = _ARROWS.get(spec)
+        if arrow is None:
+            arrow = object.__new__(cls)
+            _set = object.__setattr__
+            _set(arrow, "name", name)
+            _set(arrow, "source", source)
+            _set(arrow, "target", target)
+            _set(arrow, "index", index)
+            _set(arrow, "key", (name,) if index is None else (name, index))
+            _set(arrow, "_hash", hash(spec))
+            _ARROWS[spec] = arrow
+        return arrow
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # Rebuild on unpickling: a stored hash holds only in the process
-        # that computed it.
+        # Rebuild through the table on unpickling: the stored hash holds only
+        # in the process that computed it, and the arrow must be the interned
+        # one.
         return (Arrow, (self.name, self.source, self.target, self.index))
 
     def __str__(self):
@@ -316,6 +319,16 @@ class DiGraph:
         if not self.is_regular(v):
             raise PreconditionError(f"vertex {v} is not regular")
         return self._out[v][0]
+
+    def summation_arrows(self, v):
+        """The arrows leaving v, special arrow first, when v is regular.
+
+        None at a sink or an infinite emitter.  The list is the graph's own,
+        kept sorted by add_arrow: read it, do not change it.
+        """
+        if self._out_families[v]:
+            return None
+        return self._out[v] or None
 
     def all_arrows(self, family_cap=0):
         out = list(self._arrows.values())

@@ -106,6 +106,39 @@ def dense_ghost_span(graph, field, generators, degree, family_cap=2):
     return span
 
 
+# -- pairwise Cohn products ------------------------------------------------------
+
+
+def _cohn_mono_product(a1, b1, a2, b2):
+    """(a1.b1*)(a2.b2*) by comparing arrow tuples, or None when it vanishes."""
+    n, m = len(b1), len(a2)
+    if a2.source == b1.source and a2.arrows[:n] == b1.arrows:
+        return (Path(a1.source, a2.target, a1.arrows + a2.arrows[n:]), b2)
+    if b1.source == a2.source and b1.arrows[:m] == a2.arrows:
+        return (a1, Path(b2.source, b1.target, b2.arrows + b1.arrows[m:]))
+    return None
+
+
+def cohn_product_pairwise(x, y):
+    """x*y in the Cohn algebra, trying every pair of monomials in term order."""
+    terms = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            mono = _cohn_mono_product(a1, b1, a2, b2)
+            if mono is not None:
+                _bump(x.field, terms, mono, c1 * c2)
+    return Element(x.graph, x.field, terms)
+
+
+def prefix_comparable_pairs(x, y):
+    """How many monomial pairs of x*y compose, that is, do not vanish."""
+    return sum(
+        _cohn_mono_product(a1, b1, a2, b2) is not None
+        for (a1, b1) in x.terms
+        for (a2, b2) in y.terms
+    )
+
+
 # -- randomized rewriting --------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leavitt import (
     Element,
@@ -11,14 +12,18 @@ from leavitt import (
     mono_str,
     normal_form,
     parse_element,
+    parse_field,
     parse_graph,
     parse_path,
 )
+from leavitt import algebra
 from leavitt.errors import ParseError, PreconditionError
 
-from conftest import TWOLOOP_TAIL
+from conftest import ABFAM, ROSE3, SINK3, TWOLOOP_TAIL
 from oracles import (
+    cohn_product_pairwise,
     paths_by_target,
+    prefix_comparable_pairs,
     random_element,
     random_rewrite_normal_form,
 )
@@ -111,6 +116,85 @@ def test_ring_axioms_on_random_triples(rose2, sink3, roseinf, q, gf5):
                 assert x.scale(2) == x + x
                 checked += 1
     assert checked >= 1000
+
+
+def paths_by_target_and_length(graph):
+    """Paths up to length 3, family members up to cap 2."""
+    table = {}
+    for p in graph.all_paths(3, family_cap=2):
+        table.setdefault(p.target, {}).setdefault(len(p), []).append(p)
+    return table
+
+
+PRODUCT_GRAPHS = {
+    name: parse_graph(text) for name, text in (("rose3", ROSE3), ("sink3", SINK3), ("abfam", ABFAM))
+}
+PRODUCT_PATHS = {name: paths_by_target_and_length(g) for name, g in PRODUCT_GRAPHS.items()}
+PRODUCT_FIELDS = [parse_field("q"), parse_field("gf:7")]
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two elements over one graph and field.
+
+    Short paths are as likely as long ones, so vertex monomials, prefix
+    comparable parts and parts based at other vertices all turn up, and
+    small coefficients make sums cancel.
+    """
+    name = draw(st.sampled_from(sorted(PRODUCT_GRAPHS)))
+    graph, by_target = PRODUCT_GRAPHS[name], PRODUCT_PATHS[name]
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+
+    def side(target):
+        by_length = by_target[target]
+        return draw(st.sampled_from(by_length[draw(st.sampled_from(sorted(by_length)))]))
+
+    def element():
+        terms = {}
+        for _ in range(draw(st.integers(0, 8))):
+            target = draw(st.sampled_from(sorted(by_target)))
+            coeff = field.of(draw(st.sampled_from((1, -1, 2, 3))))
+            terms[(side(target), side(target))] = coeff
+        return Element(graph, field, terms)
+
+    return element(), element()
+
+
+def chosen(name, left, right):
+    graph, field = PRODUCT_GRAPHS[name], PRODUCT_FIELDS[0]
+    return parse_element(graph, field, left), parse_element(graph, field, right)
+
+
+@settings(deadline=None)
+@given(factor_pairs())
+# vertex monomials, parts based at other vertices, products that vanish
+@example(chosen("sink3", "u + v + w", "e + g.e.h + h.h* + u"))
+@example(chosen("sink3", "e.g + h.h* + g.e + w", "e* + 2 h* - g.e.e*"))
+@example(chosen("sink3", "h*", "e + g.e + u"))
+@example(chosen("abfam", "a* + f[1]*.b* + v", "b.a + a.f[0] + a.a* + f[1].f[1]*"))
+def test_indexed_product_matches_pairwise_loop(xy):
+    x, y = xy
+    assert list((x * y).terms.items()) == list(cohn_product_pairwise(x, y).terms.items())
+
+
+def test_product_composes_only_prefix_comparable_pairs(rose3, q, monkeypatch):
+    # a relapse to trying every pair of monomials fails here
+    rng = random.Random(5)
+    table = paths_by_target(rose3, 3)
+    x = random_element(rose3, q, rng, 3, 40, table)
+    y = random_element(rose3, q, rng, 3, 40, table)
+    calls = []
+    product = algebra._mono_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(algebra, "_mono_product", counted)
+    assert x * y == cohn_product_pairwise(x, y)
+    comparable = prefix_comparable_pairs(x, y)
+    assert len(calls) == comparable
+    assert 0 < comparable < len(x.terms) * len(y.terms) // 4
 
 
 def test_unit_is_identity(sink3, q):

@@ -203,7 +203,7 @@ def test_path_operations_build_equal_values(ws, data):
 def test_arrows_and_paths_from_separate_parses_are_equal():
     g1, g2 = parse_graph(ABFAM), parse_graph(ABFAM)
     for a1, a2 in zip(g1.all_arrows(3), g2.all_arrows(3), strict=True):
-        assert a1 is not a2
+        assert a1 is a2
         assert a1 == a2 and hash(a1) == hash(a2)
         assert hash(a1) == hash((a1.name, a1.source, a1.target, a1.index))
         assert a1.key == ((a1.name,) if a1.index is None else (a1.name, a1.index))
@@ -279,3 +279,10 @@ def test_unpickled_values_rehash_in_the_new_process():
     assert hash(p) == hash((p.source, p.target, p.arrows))
     assert hash(p.arrows[1]) == hash(("f", "v", "v", 2))
     assert isinstance(p.arrows[0], Arrow)
+    assert p.arrows[1] is parse_graph(ABFAM).arrow("f", 2)
+
+
+def test_unpickled_arrows_are_the_interned_ones(abfam):
+    for a in abfam.all_arrows(3):
+        assert pickle.loads(pickle.dumps(a)) is a
+    assert pickle.loads(pickle.dumps(Arrow("f", "v", "v", -1))) is Arrow("f", "v", "v", -1)
