@@ -29,6 +29,17 @@ class Element:
                 if coeff:
                     self.terms[mono] = coeff
 
+    @staticmethod
+    def _trusted(graph, field, terms):
+        # An element over a terms dict the caller knows is clean: every
+        # monomial's parts share a target and no coefficient is zero.  The
+        # dict is kept, not copied.
+        element = object.__new__(Element)
+        element.graph = graph
+        element.field = field
+        element.terms = terms
+        return element
+
     def _check_mono(self, mono):
         alpha, beta = mono
         if alpha.target != beta.target:
@@ -82,10 +93,10 @@ class Element:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        return Element(self.graph, self.field, terms)
+        return Element._trusted(self.graph, self.field, terms)
 
     def __neg__(self):
-        return Element(
+        return Element._trusted(
             self.graph, self.field, {m: -c for m, c in self.terms.items()}
         )
 
@@ -96,7 +107,7 @@ class Element:
         scalar = self.field.of(scalar)
         if not scalar:
             return Element.zero(self.graph, self.field)
-        return Element(
+        return Element._trusted(
             self.graph, self.field, {m: c * scalar for m, c in self.terms.items()}
         )
 
@@ -137,11 +148,11 @@ class Element:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-        return Element(self.graph, self.field, terms)
+        return Element._trusted(self.graph, self.field, terms)
 
     def involution(self):
         """The K-linear anti-automorphism swapping real and ghost parts."""
-        return Element(
+        return Element._trusted(
             self.graph, self.field, {(b, a): c for (a, b), c in self.terms.items()}
         )
 
@@ -154,7 +165,8 @@ class Element:
             d = len(a) - len(b)
             parts.setdefault(d, {})[(a, b)] = c
         return {
-            d: Element(self.graph, self.field, terms) for d, terms in parts.items()
+            d: Element._trusted(self.graph, self.field, terms)
+            for d, terms in parts.items()
         }
 
     # -- printing ----------------------------------------------------------
@@ -311,7 +323,7 @@ def normal_form(element):
         for e in arrows:
             if e is not special:
                 work.append(((a0.concat(e), b0.concat(e)), -coeff))
-    return Element(graph, field, out)
+    return Element._trusted(graph, field, out)
 
 
 def is_normal_form(element):

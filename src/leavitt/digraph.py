@@ -66,12 +66,20 @@ class Arrow:
         return f"{self.name}[{self.index}]"
 
 
-@dataclass(frozen=True, slots=True)
+# Every Path made in this process, by (source, target, arrows).  Like
+# _ARROWS it never shrinks.
+_PATHS = {}
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Path:
     """A finite path.  Empty paths are vertices and carry their base point.
 
-    Paths are immutable values whose hash is computed once, at construction.
-    The public constructor checks that the arrows compose; the operations
+    Paths are interned: every way of building a path returns the one
+    instance for its (source, target, arrows), also on unpickling, so equal
+    paths are the same object and compare by identity.  The hash is
+    computed once, when the instance is first made.  The public constructor
+    checks that the arrows compose, when the path is new; the operations
     below build their results through ``_trusted``, which does not repeat
     the check, since each of them checks its own junction or only cuts a
     path that is already valid.
@@ -80,33 +88,42 @@ class Path:
     source: str
     target: str
     arrows: tuple = ()
-    _hash: int = dc_field(init=False, repr=False)
+    _hash: int = dc_field(repr=False)
 
-    def __post_init__(self):
-        prev = self.source
-        for a in self.arrows:
-            if a.source != prev:
-                raise PreconditionError(f"arrow {a} does not compose at {prev}")
-            prev = a.target
-        if prev != self.target:
-            raise PreconditionError(
-                f"path target {self.target} does not match arrows ending at {prev}"
-            )
-        object.__setattr__(self, "_hash", hash((self.source, self.target, self.arrows)))
+    def __new__(cls, source, target, arrows=()):
+        arrows = tuple(arrows)
+        path = _PATHS.get((source, target, arrows))
+        if path is None:
+            prev = source
+            for a in arrows:
+                if a.source != prev:
+                    raise PreconditionError(f"arrow {a} does not compose at {prev}")
+                prev = a.target
+            if prev != target:
+                raise PreconditionError(
+                    f"path target {target} does not match arrows ending at {prev}"
+                )
+            path = Path._trusted(source, target, arrows)
+        return path
 
     @staticmethod
     def _trusted(source, target, arrows):
         # A path whose arrows the caller knows compose from source to target.
-        path = _new_object(Path)
-        _set_source(path, source)
-        _set_target(path, target)
-        _set_arrows(path, arrows)
-        _set_hash(path, hash((source, target, arrows)))
+        spec = (source, target, arrows)
+        path = _PATHS.get(spec)
+        if path is None:
+            path = object.__new__(Path)
+            _set = object.__setattr__
+            _set(path, "source", source)
+            _set(path, "target", target)
+            _set(path, "arrows", arrows)
+            _set(path, "_hash", hash(spec))
+            _PATHS[spec] = path
         return path
 
     @staticmethod
     def vertex(v):
-        return Path(v, v, ())
+        return Path._trusted(v, v, ())
 
     @staticmethod
     def of_arrows(arrows):
@@ -115,22 +132,11 @@ class Path:
             raise PreconditionError("of_arrows needs at least one arrow")
         return Path(arrows[0].source, arrows[-1].target, arrows)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Path:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.source == other.source
-            and self.target == other.target
-            and self.arrows == other.arrows
-        )
-
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
+        # As for Arrow: rebuild through the table on unpickling.
         return (Path, (self.source, self.target, self.arrows))
 
     def __len__(self):
@@ -142,12 +148,12 @@ class Path:
 
     @property
     def key(self):
-        return tuple(a.key for a in self.arrows)
+        return tuple([a.key for a in self.arrows])
 
     @property
     def dual_key(self):
         # Letters of the corresponding ghost word, in product order.
-        return tuple(a.key for a in reversed(self.arrows))
+        return tuple([a.key for a in self.arrows[::-1]])
 
     def concat(self, other):
         """This path followed by ``other``, a path or a single arrow."""
@@ -190,15 +196,6 @@ class Path:
         if not self.arrows:
             return self.source
         return ".".join(str(a) for a in self.arrows)
-
-
-# Slot setters for Path._trusted.  They bypass the frozen __setattr__ and
-# __post_init__, so only Path._trusted may use them.
-_new_object = object.__new__
-_set_source = Path.source.__set__
-_set_target = Path.target.__set__
-_set_arrows = Path.arrows.__set__
-_set_hash = Path._hash.__set__
 
 
 def path_sort_key(path):

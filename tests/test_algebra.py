@@ -43,6 +43,33 @@ def test_monomial_requires_matching_targets(sink3, q):
         Element(sink3, q, {(e, h): q.one})
 
 
+def test_public_constructor_checks_targets_and_drops_zeros(sink3, gf5):
+    e, g, h = (parse_path(sink3, n) for n in "egh")
+    with pytest.raises(PreconditionError):
+        Element(sink3, gf5, {(e, e): gf5.one, (g, h): gf5.one})
+    x = Element(sink3, gf5, {(e, e): gf5.zero, (g, g): gf5.one, (h, h): gf5.of(5)})
+    assert list(x.terms) == [(g, g)]
+    assert Element(sink3, gf5, {(e, e): gf5.zero}).is_zero
+
+
+def test_built_elements_stay_clean(rose2, sink3, q, gf5):
+    # products, sums and rewrites build their results without the public
+    # constructor's checks, so check what those checks would have found
+    def clean(x):
+        return all(c and a.target == b.target for (a, b), c in x.terms.items())
+
+    rng = random.Random(17)
+    for graph in (rose2, sink3):
+        table = paths_by_target(graph, 3)
+        for field in (q, gf5):
+            for _ in range(20):
+                x = random_element(graph, field, rng, 3, 6, table)
+                y = random_element(graph, field, rng, 3, 6, table)
+                built = [x * y, x + y, x - x, -x, x.scale(3), x.involution(), normal_form(x)]
+                built += x.degree_components().values()
+                assert all(clean(z) for z in built)
+
+
 def test_mono_str_dualizes_ghost_words(roseab, q):
     ba = parse_path(roseab, "b.a")
     assert mono_str((Path.vertex("v"), ba)) == "a*.b*"

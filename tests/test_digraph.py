@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import subprocess
@@ -20,6 +21,7 @@ from leavitt import (
     tail_equivalent,
     thue_morse_word,
 )
+from leavitt import digraph
 from leavitt.digraph import Arrow
 from leavitt.errors import PreconditionError
 
@@ -286,3 +288,69 @@ def test_unpickled_arrows_are_the_interned_ones(abfam):
     for a in abfam.all_arrows(3):
         assert pickle.loads(pickle.dumps(a)) is a
     assert pickle.loads(pickle.dumps(Arrow("f", "v", "v", -1))) is Arrow("f", "v", "v", -1)
+
+
+# -- paths are interned -----------------------------------------------------------
+
+
+@given(words(), st.data())
+def test_every_construction_returns_the_interned_path(ws, data):
+    word, other, a = ws
+    full = Path("v", "v", word)
+    cut = data.draw(st.integers(0, len(word)))
+    head, tail = Path("v", "v", word[:cut]), Path("v", "v", word[cut:])
+    built = [
+        Path("v", "v", list(word)),
+        head.concat(tail),
+        Path.vertex("v").concat(full),
+        Path("v", "v", word + (a,)).drop_last(),
+        Path("v", "v", (a,) + word).drop_first(),
+        Path("v", "v", (a,) + word).strip_prefix(Path.of_arrows([a])),
+        pickle.loads(pickle.dumps(full)),
+        copy.deepcopy(full),
+    ]
+    if word:
+        built.append(Path("v", "v", word[1:]).prepend(word[0]))
+        built.append(Path("v", "v", word[:-1]).concat(word[-1]))
+        built.append(Path.of_arrows(list(word)))
+    else:
+        built.append(Path.vertex("v"))
+    assert all(p is full for p in built)
+    assert full.strip_prefix(head) is tail and tail.prepend(a).drop_first() is tail
+    assert (Path("v", "v", other) is full) == (other == word)
+
+
+def test_unpickled_paths_from_another_process_are_the_interned_ones():
+    code = (
+        "import pickle, sys; from leavitt import parse_graph, parse_path; "
+        "from conftest import ABFAM; g = parse_graph(ABFAM); "
+        "sys.stdout.buffer.write(pickle.dumps([parse_path(g, 'a.f[2]'), parse_path(g, 'v')]))"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, here]))
+    blob = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    p, v = pickle.loads(blob)
+    g = parse_graph(ABFAM)
+    assert p is parse_path(g, "a.f[2]")
+    assert v is Path.vertex("v")
+    assert pickle.loads(pickle.dumps(p)) is p
+
+
+def test_invalid_paths_still_raise_once_valid_ones_are_interned(sink3):
+    e, g, h = (sink3.arrow(n) for n in "egh")
+    assert Path("u", "u", (e, g)) is Path.of_arrows((e, g))
+    assert Path("u", "w", (e, h)) is Path.of_arrows((e, h))
+    for endpoints, arrows in [
+        (("u", "u"), (e, h)),  # right endpoints, h ends at w
+        (("u", "w"), (e, g)),  # right arrows, wrong target
+        (("u", "w"), (e, g, h)),  # g ends at u, h starts at v
+        (("u", "w"), ()),  # a vertex path needs source == target
+    ]:
+        before = len(digraph._PATHS)
+        with pytest.raises(PreconditionError):
+            Path(*endpoints, arrows)
+        assert len(digraph._PATHS) == before

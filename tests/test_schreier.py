@@ -14,6 +14,7 @@ from leavitt import (
     parse_element,
     power_ideal_generators,
 )
+from leavitt import digraph
 from leavitt.errors import PreconditionError
 
 from oracles import dense_ghost_span, paths_by_target, random_ghost_element
@@ -55,6 +56,16 @@ def test_quaternion_staircase_shape(roseab, q):
     assert st.stabilized
     assert st.codimension() == ("finite", 4)
     assert [ghost_name(p) for p in st.coset_basis()] == ["v", "a*", "b*", "a*.b*"]
+
+
+def test_rebuilding_a_staircase_interns_no_new_paths(roseab, q):
+    # a table key that fails to dedupe equal paths would grow the table here
+    first = quat_staircase(roseab, q)
+    size = len(digraph._PATHS)
+    again = quat_staircase(roseab, q)
+    assert len(digraph._PATHS) == size
+    assert all(p is r for p, r in zip(first.rows, again.rows, strict=True))
+    assert all(p is r for p, r in zip(first.coset, again.coset, strict=True))
 
 
 def test_quaternion_free_generators_match_rank_formula(roseab, q):
