@@ -13,12 +13,16 @@ refuses another type (a float included) with TypeError and another modulus
 with PreconditionError.  Every vector it hands back, from insert, reduce,
 kernel, rows and tags, holds the field's own scalars, GFScalar or
 Fraction, and never a float.
+
+Built over ``field.codec``, as the probes of leavitt.probes build it, it
+converts nothing: it takes nonzero native values and hands native ones back.
 """
 
 from bisect import insort
 from collections.abc import Mapping
 
 from .errors import PreconditionError
+from .fields import NativeCodec
 
 
 def vec_add_into(field, acc, vec, scalar):
@@ -34,7 +38,7 @@ def vec_add_into(field, acc, vec, scalar):
     return acc
 
 
-def _add_native(acc, vec, scalar, p):
+def add_native(acc, vec, scalar, p):
     """acc += scalar * vec over native values, reduced mod p unless p is 0."""
     for key, coeff in vec.items():
         val = acc.get(key, 0) + coeff * scalar
@@ -44,6 +48,18 @@ def _add_native(acc, vec, scalar, p):
             acc[key] = val
         else:
             acc.pop(key, None)
+
+
+def encode(field, vec):
+    """vec with its scalars made native by field.native, zeros dropped."""
+    native = field.native
+    return {k: n for k, v in vec.items() if (n := native(v))}
+
+
+def decode(field, vec):
+    """The native vec with its values made scalars of field."""
+    scalar = field.scalar
+    return {k: scalar(v) for k, v in vec.items()}
 
 
 class _ScalarView(Mapping):
@@ -60,8 +76,7 @@ class _ScalarView(Mapping):
         self._field = field
 
     def __getitem__(self, key):
-        scalar = self._field.scalar
-        return {k: scalar(v) for k, v in self._vecs[key].items()}
+        return decode(self._field, self._vecs[key])
 
     def __contains__(self, key):
         return key in self._vecs
@@ -99,6 +114,8 @@ class SpanEchelon:
         self.field = field
         self.sort_key = sort_key
         self._p = field.characteristic
+        self._raw = isinstance(field, NativeCodec)
+        self._canon = (field.field if self._raw else field).native
         self._rows = {}
         self._tags = {}
         self.rows = _ScalarView(self._rows, field)
@@ -112,25 +129,18 @@ class SpanEchelon:
         return sorted(self._rows, key=self.sort_key)
 
     def _native(self, vec):
-        native = self.field.native
-        out = {}
-        for k, v in vec.items():
-            n = native(v)
-            if n:
-                out[k] = n
-        return out
+        return dict(vec) if self._raw else encode(self.field, vec)
 
     def _scalars(self, vec):
-        scalar = self.field.scalar
-        return {k: scalar(v) for k, v in vec.items()}
+        return vec if self._raw else decode(self.field, vec)
 
     def _scaled(self, vec, c):
         """c * vec, each value reduced mod p, or made an int if integral."""
         p = self._p
         if p:
             return {k: v * c % p for k, v in vec.items()}
-        native = self.field.native
-        return {k: native(v * c) for k, v in vec.items()}
+        canon = self._canon
+        return {k: canon(v * c) for k, v in vec.items()}
 
     def _eliminate(self, vec, top):
         """Cancel pivots of vec, largest first, tracking the combination.
@@ -156,7 +166,7 @@ class SpanEchelon:
                 return rem, combo, hit
             tag = tags.get(hit)
             if tag is not None:
-                _add_native(combo, tag, c, p)
+                add_native(combo, tag, c, p)
             neg = -c
             for k, rc in row.items():
                 old = rem.get(k)
@@ -194,7 +204,7 @@ class SpanEchelon:
             self._rows[pivot] = self._scaled(rem, inv)
             if rtag is not None or combo:
                 rtag = rtag or {}
-                _add_native(rtag, combo, -1, self._p)
+                add_native(rtag, combo, -1, self._p)
                 self._tags[pivot] = self._scaled(rtag, inv)
         return self._scalars(rem), self._scalars(combo), pivot
 
@@ -225,7 +235,7 @@ class SpanEchelon:
             val = {}
             for k, c in self._rows[pivot].items():
                 if k != pivot:
-                    _add_native(val, value.get(k, {k: 1}), -c, p)
+                    add_native(val, value.get(k, {k: 1}), -c, p)
             value[pivot] = val
         one = self.field.one
         basis = []

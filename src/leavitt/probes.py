@@ -6,6 +6,13 @@ hit the window boundary are flagged as overflowed, membership of a vector
 in a truncated span is only trusted in the positive direction, and the
 endomorphism solver returns the solution space of the equations it could
 form, together with whether its multiplication table closed.
+
+Module vectors are native inside the probes (see leavitt.fields), and so
+are the rows of Closure.echelon: Closure and endomorphism_probe build their
+echelons over field.codec.  Vectors are encoded once as they come in, as
+Closure seeds and contains arguments and as label images of prefix_ops and
+staircase_ops, and decoded once on the way out: witnesses and the basis,
+unit_coords and table of an EndomorphismReport hold the field's scalars.
 """
 
 import random
@@ -13,7 +20,7 @@ from collections import deque
 
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
-from .linalg import SpanEchelon, vec_add_into
+from .linalg import SpanEchelon, add_native, decode, encode, vec_add_into
 from .schreier import SchreierStaircase, element_to_ghost
 
 
@@ -24,9 +31,9 @@ class ModuleOps:
     """A module presented through label level operators.
 
     ops is an ordered list of (name, fn) where fn maps a basis label to a
-    vector, or to None when the image leaves the degree window.  The
-    closure of the generator under these operators inside the window is
-    what every probe below explores.
+    native vector, or to None when the image leaves the degree window.
+    Every probe below explores the closure of the generator, a vector of
+    field scalars, under these operators inside the window.
     """
 
     def __init__(self, field, ops, generator, sort_key, degree_of, window):
@@ -38,12 +45,12 @@ class ModuleOps:
         self.window = window
 
     def apply(self, fn, vec):
-        out = {}
+        out, p = {}, self.field.characteristic
         for label, coeff in vec.items():
             img = fn(label)
             if img is None:
                 return None
-            vec_add_into(self.field, out, img, coeff)
+            add_native(out, img, coeff, p)
         return out
 
 
@@ -53,11 +60,11 @@ def prefix_ops(space, window):
     def guard(img):
         if img and max(space.degree(l) for l in img) > window:
             return None
-        return img
+        return encode(space.field, img)
 
     ops = []
     for v in sorted(space.graph.vertices):
-        ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
+        ops.append((f"v:{v}", lambda lab, v=v: encode(space.field, space.act_vertex(v, lab))))
     arrows = space.active_arrows()
     for a in arrows:
         ops.append((str(a), lambda lab, a=a: guard(space.act_arrow(a, lab))))
@@ -82,7 +89,7 @@ def staircase_ops(staircase):
         ops.append(
             (
                 f"v:{v}",
-                lambda p, v=v: {p: field.one} if p.target == v else {},
+                lambda p, v=v: {p: 1} if p.target == v else {},
             )
         )
     for a in graph.all_arrows(staircase.family_cap):
@@ -92,7 +99,7 @@ def staircase_ops(staircase):
                 return {}
             if len(p) + 1 > staircase.degree:
                 return None
-            return staircase.reduce({p.concat(a): field.one})
+            return encode(field, staircase.reduce({p.concat(a): field.one}))
 
         ops.append((f"{a}*", ghost))
     gen = {}
@@ -124,7 +131,7 @@ class Closure:
 
     def __init__(self, mod):
         self.mod = mod
-        self.echelon = SpanEchelon(mod.field, mod.sort_key)
+        self.echelon = SpanEchelon(mod.field.codec, mod.sort_key)
         self.overflowed = False
 
     @property
@@ -132,7 +139,7 @@ class Closure:
         return self.echelon.rank
 
     def contains(self, vec):
-        return self.echelon.contains(vec)
+        return self.echelon.contains(encode(self.mod.field, vec))
 
     def extend(self, seeds):
         """Add the seeds and everything the operators reach from them."""
@@ -141,8 +148,9 @@ class Closure:
         for seed in seeds:
             if any(mod.degree_of(l) > mod.window for l in seed):
                 raise PreconditionError("seed vector does not fit in the window")
+            seed = encode(mod.field, seed)
             if ech.insert(seed)[2] is not None:
-                queue.append(dict(seed))
+                queue.append(seed)
         while queue:
             row = queue.popleft()
             for _, fn in mod.ops:
@@ -242,12 +250,10 @@ def simplicity_probe(space, window, samples=12, seed=0):
 
 
 def ghost_annihilated(space, vec, modulo=None):
-    """Whether every active ghost arrow sends vec into the given span."""
+    """Whether every active ghost arrow sends vec to zero, or into modulo."""
     for a in space.active_arrows():
         img = space.ghost_apply(a, vec)
-        if modulo is not None:
-            img, _ = modulo.reduce(img)
-        if img:
+        if img if modulo is None else not modulo.contains(img):
             return False
     return True
 
@@ -338,7 +344,7 @@ def composition_probe(space, candidates, window):
         prev_dim = cl.dim
         strict = not cl.contains(m)
         vertex = None
-        if strict and ghost_annihilated(space, m, modulo=cl.echelon):
+        if strict and ghost_annihilated(space, m, modulo=cl):
             for u in sorted(space.graph.vertices):
                 fixed = dict(m)
                 vec_add_into(space.field, fixed, space.vertex_apply(u, m), -space.field.one)
@@ -376,7 +382,11 @@ def composition_probe(space, candidates, window):
 # -- endomorphisms ------------------------------------------------------------------
 
 
-def _sym_apply(field, fn, sym):
+# Symbolic vectors map labels to native rows over the variables, the
+# coordinates of the generator's image z.
+
+
+def _sym_apply(fn, sym, p):
     out = {}
     for lab, var_row in sym.items():
         img = fn(lab)
@@ -384,23 +394,36 @@ def _sym_apply(field, fn, sym):
             return None
         for lab2, c in img.items():
             acc = out.setdefault(lab2, {})
-            vec_add_into(field, acc, var_row, c)
+            add_native(acc, var_row, c, p)
             if not acc:
                 del out[lab2]
     return out
 
 
-def _sym_eval(field, sym, zvec):
+def _sym_eval(sym, zvec, p):
     out = {}
     for lab, var_row in sym.items():
-        s = field.zero
+        s = 0
         for var, c in var_row.items():
             zc = zvec.get(var)
             if zc is not None:
-                s = s + c * zc
+                s += c * zc
+        if p:
+            s %= p
         if s:
             out[lab] = s
     return out
+
+
+def _express(field, free_vars, basis, vec):
+    """Coordinates of a native vec over a native basis, decoded, or None."""
+    p = field.characteristic
+    coords = tuple(vec.get(f, 0) for f in free_vars)
+    check = {}
+    for c, b in zip(coords, basis):
+        add_native(check, b, c, p)
+    add_native(check, vec, -1, p)
+    return None if check else tuple(map(field.scalar, coords))
 
 
 class EndomorphismReport:
@@ -429,12 +452,9 @@ class EndomorphismReport:
 
     def express(self, vec):
         """Coordinates of vec over the basis, or None when it is outside."""
-        coords = tuple(vec.get(f, self.field.zero) for f in self.free_vars)
-        check = {}
-        for c, b in zip(coords, self.basis):
-            vec_add_into(self.field, check, b, c)
-        vec_add_into(self.field, check, vec, -self.field.one)
-        return None if check else coords
+        field = self.field
+        basis = [encode(field, b) for b in self.basis]
+        return _express(field, self.free_vars, basis, encode(field, vec))
 
     def compose(self, c1, c2):
         """Coordinates of the composite endomorphism, apply c2 then c1."""
@@ -479,13 +499,13 @@ def endomorphism_probe(target, degree=None):
         mod = prefix_ops(target, degree)
         variables = target.labels(degree - 1)
     field = mod.field
-    one = field.one
+    p = field.characteristic
     var_index = {v: i for i, v in enumerate(variables)}
-    rows = [dict(mod.generator)]
-    syms = [{v: {v: one} for v in variables}]
-    ech = SpanEchelon(field, mod.sort_key)
-    ech.insert(rows[0], {0: one})
-    constraints = SpanEchelon(field, var_index.__getitem__)
+    rows = [encode(field, mod.generator)]
+    syms = [{v: {v: 1} for v in variables}]
+    ech = SpanEchelon(field.codec, mod.sort_key)
+    ech.insert(rows[0], {0: 1})
+    constraints = SpanEchelon(field.codec, var_index.__getitem__)
     eq_count = 0
     overflow = False
     queue = deque([0])
@@ -497,8 +517,8 @@ def endomorphism_probe(target, degree=None):
             if img is None:
                 overflow = True
                 continue
-            sym_img = None if sym_i is None else _sym_apply(field, fn, sym_i)
-            _, combo, piv = ech.insert(img, {len(rows): one})
+            sym_img = None if sym_i is None else _sym_apply(fn, sym_i, p)
+            _, combo, piv = ech.insert(img, {len(rows): 1})
             if piv is not None:
                 rows.append(img)
                 syms.append(sym_img)
@@ -514,7 +534,7 @@ def endomorphism_probe(target, degree=None):
             for j, c in combo.items():
                 for lab, var_row in syms[j].items():
                     acc = eq.setdefault(lab, {})
-                    vec_add_into(field, acc, var_row, -c)
+                    add_native(acc, var_row, -c, p)
                     if not acc:
                         del eq[lab]
             for var_row in eq.values():
@@ -522,7 +542,7 @@ def endomorphism_probe(target, degree=None):
                 constraints.insert(var_row)
     free_vars = [v for v in variables if v not in constraints.rows]
     basis = constraints.kernel(variables)
-    report = EndomorphismReport(field, free_vars, basis, len(basis))
+    report = EndomorphismReport(field, free_vars, [decode(field, z) for z in basis], len(basis))
     report.overflowed = overflow
     report.equations = eq_count
     report.independent = constraints.rank
@@ -530,7 +550,7 @@ def endomorphism_probe(target, degree=None):
     report.variable_degree = None if not variables else max(
         mod.degree_of(v) for v in variables
     )
-    report.unit_coords = report.express(mod.generator)
+    report.unit_coords = _express(field, free_vars, basis, rows[0])
     if report.dimension and report.dimension <= 16:
         table = {}
         closes = True
@@ -542,8 +562,8 @@ def endomorphism_probe(target, degree=None):
                 if usable:
                     image = {}
                     for k, c in combo.items():
-                        vec_add_into(field, image, _sym_eval(field, syms[k], zi), c)
-                    cell = report.express(image)
+                        add_native(image, _sym_eval(syms[k], zi, p), c, p)
+                    cell = _express(field, free_vars, basis, image)
                 table[(i, j)] = cell
                 closes = closes and cell is not None
         report.table = table

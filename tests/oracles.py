@@ -106,6 +106,41 @@ def dense_ghost_span(graph, field, generators, degree, family_cap=2):
     return span
 
 
+# -- module closures ---------------------------------------------------------------
+
+
+def dense_closure(space, seeds, window):
+    """Dimension and overflow flag of the windowed closure of seeds.
+
+    The walk uses only the module's vector actions, vertex_apply,
+    arrow_apply and ghost_apply, over the field's own scalars, and a
+    DenseSpan for independence.  Each vector that raises the rank is
+    walked once, by every vertex, then every arrow, then every ghost
+    arrow.  An action overflows a vector when it sends one of the
+    vector's labels past the window: the image is dropped and the
+    closure flagged.
+    """
+    one = space.field.one
+    arrows = space.active_arrows()
+    actions = [(space.vertex_apply, v) for v in sorted(space.graph.vertices)]
+    actions += [(space.arrow_apply, a) for a in arrows]
+    actions += [(space.ghost_apply, a) for a in arrows]
+    span = DenseSpan(space.field)
+    queue = [dict(seed) for seed in seeds if span.insert(seed)]
+    overflowed = False
+    while queue:
+        vec = queue.pop(0)
+        for act, arg in actions:
+            images = [act(arg, {lab: one}) for lab in vec]
+            if any(space.degree(lab) > window for img in images for lab in img):
+                overflowed = True
+                continue
+            img = act(arg, vec)
+            if span.insert(img):
+                queue.append(img)
+    return span.rank, overflowed
+
+
 # -- pairwise Cohn products ------------------------------------------------------
 
 

@@ -35,7 +35,7 @@ from leavitt.errors import PreconditionError
 from leavitt.linalg import SpanEchelon, vec_add_into
 from leavitt.probes import Closure, prefix_ops, span_closure
 
-from oracles import DenseSpan, paths_by_target, random_ghost_element
+from oracles import DenseSpan, dense_closure, paths_by_target, random_ghost_element
 from test_schreier import QUAT_GENS
 
 
@@ -259,10 +259,14 @@ def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
 
 
 def test_cyclic_submodule_of_the_generator_is_everything(rose2, q):
+    # The x1 shift module is cyclic on its generator: the closure holds
+    # every label of the window, 8, 16 and 32 of them at windows 3, 4, 5.
     M = chen_module(rose2, q, periodic_word(parse_path(rose2, "x1")))
-    cl = cyclic_submodule(M, [M.generator_vector()], 4)
-    assert cl.contains(M.generator_vector())
-    assert cl.dim == len(M.labels(4)) - cl.missing_count() if hasattr(cl, "missing_count") else cl.dim > 0
+    for window, labels in ((3, 8), (4, 16), (5, 32)):
+        cl = cyclic_submodule(M, [M.generator_vector()], window)
+        assert cl.contains(M.generator_vector())
+        assert cl.dim == len(M.labels(window)) == labels
+        assert all(cl.contains({lab: q.one}) for lab in M.labels(window))
 
 
 def test_cyclic_submodule_detects_proper_pieces(abfam, q):
@@ -458,6 +462,73 @@ def test_closure_extended_twice_spans_the_joint_closure(loopfam, q):
     assert grown.overflowed == joint.overflowed
     assert all(joint.contains(row) for row in grown.echelon.rows.values())
     assert all(grown.contains(row) for row in joint.echelon.rows.values())
+
+
+def field_modules(roseab, field):
+    """A Mantese module and the golden twist linear module over field."""
+    a, b = loops(roseab, "a", "b")
+    return {
+        "mantese": mantese_module(roseab, field, "v", {a: field.one, b: field.of(2)}),
+        "linear_nonlinear": linear_example_module(roseab, field, a, b, "nonlinear"),
+    }
+
+
+@pytest.mark.parametrize("window", [3, 4])
+def test_closures_match_dense_closures_over_both_fields(loopfam, abfam, roseab, q, window):
+    cases = list(chain_modules(loopfam, abfam, q).items())
+    for tag in ("q", "gf:7"):
+        cases += [(f"{name} {tag}", M) for name, M in field_modules(roseab, parse_field(tag)).items()]
+    for name, M in cases:
+        seeds = chain_candidates(M)
+        cl = span_closure(prefix_ops(M, window), seeds)
+        assert (cl.dim, cl.overflowed) == dense_closure(M, seeds, window), name
+
+
+def test_endomorphism_dimensions_agree_over_both_fields(roseab):
+    for degree in (4, 5):
+        dims = {}
+        for tag in ("q", "gf:7"):
+            modules = field_modules(roseab, parse_field(tag))
+            dims[tag] = {name: endomorphism_probe(M, degree).dimension for name, M in modules.items()}
+        assert dims["q"] == dims["gf:7"] == {"mantese": 1, "linear_nonlinear": 2}, degree
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_closure_refuses_foreign_scalars(roseab, tag):
+    field = parse_field(tag)
+    M = field_modules(roseab, field)["mantese"]
+    cl = Closure(prefix_ops(M, 4))
+    lab = M.generator_label
+    with pytest.raises(TypeError):
+        cl.extend([{lab: 0.5}])
+    with pytest.raises(TypeError):
+        cl.contains({lab: 0.5})
+    if field.characteristic:
+        gf5 = parse_field("gf:5")
+        with pytest.raises(PreconditionError):
+            cl.extend([{lab: gf5.of(2)}])
+        with pytest.raises(PreconditionError):
+            cl.contains({lab: gf5.of(2)})
+    assert cl.dim == 0
+    cl.extend([M.generator_vector()])
+    assert cl.dim == 16 and cl.contains(M.generator_vector())
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_probes_hand_out_field_scalars(loopfam, abfam, roseab, tag):
+    field = parse_field(tag)
+    report = endomorphism_probe(field_modules(roseab, field)["linear_nonlinear"], 5)
+    assert report.dimension == 2 and report.table_closes
+    assert handed_out(field, *report.basis)
+    cells = [report.unit_coords, *report.table.values()]
+    assert handed_out(field, *(dict(enumerate(cell)) for cell in cells))
+    a, b = loops(abfam, "a", "b")
+    simplicity = simplicity_probe(linear_example_module(abfam, field, a, b, "linear"), 3)
+    assert simplicity["verdict"] == "proper_submodule"
+    assert handed_out(field, simplicity["witness"])
+    R = rangaswamy_module(loopfam, field, parse_path(loopfam, "a"), [field.of(-1), field.one])
+    socle = ghost_socle(R, 2)
+    assert socle and handed_out(field, *socle)
 
 
 def test_composition_probe_rejects_nonstrict_chain(loopfam, q):
