@@ -23,8 +23,8 @@ class Arrow:
 
     Arrows are interned: ``Arrow(name, source, target, index)`` returns the
     one instance for that tuple, so equal arrows are the same object and
-    compare by identity.  The sort key and the hash are computed once, when
-    the instance is first made, and kept in slots.
+    compare and hash by identity.  The sort key is computed once, when the
+    instance is first made, and kept in a slot.
     """
 
     name: str
@@ -34,7 +34,6 @@ class Arrow:
     # Sort key.  Plain arrows compare before their own family members would,
     # and family members order by index.
     key: tuple = dc_field(repr=False)
-    _hash: int = dc_field(repr=False)
 
     def __new__(cls, name, source, target, index=None):
         spec = (name, source, target, index)
@@ -47,17 +46,12 @@ class Arrow:
             _set(arrow, "target", target)
             _set(arrow, "index", index)
             _set(arrow, "key", (name,) if index is None else (name, index))
-            _set(arrow, "_hash", hash(spec))
             _ARROWS[spec] = arrow
         return arrow
 
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        # Rebuild through the table on unpickling: the stored hash holds only
-        # in the process that computed it, and the arrow must be the interned
-        # one.
+        # Rebuild through the table on unpickling, so that the arrow is the
+        # interned one and its identity hash is this process's.
         return (Arrow, (self.name, self.source, self.target, self.index))
 
     def __str__(self):
@@ -66,9 +60,11 @@ class Arrow:
         return f"{self.name}[{self.index}]"
 
 
-# Every Path made in this process, by (source, target, arrows).  Like
-# _ARROWS it never shrinks.
+# Every Path made in this process, by (source, target, arrows), and the
+# ghost sort key of each path that has been given one.  Like _ARROWS they
+# never shrink.
 _PATHS = {}
+_GHOST_KEYS = {}
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -77,18 +73,16 @@ class Path:
 
     Paths are interned: every way of building a path returns the one
     instance for its (source, target, arrows), also on unpickling, so equal
-    paths are the same object and compare by identity.  The hash is
-    computed once, when the instance is first made.  The public constructor
-    checks that the arrows compose, when the path is new; the operations
-    below build their results through ``_trusted``, which does not repeat
-    the check, since each of them checks its own junction or only cuts a
-    path that is already valid.
+    paths are the same object and compare and hash by identity.  The public
+    constructor checks that the arrows compose, when the path is new; the
+    operations below build their results through ``_trusted``, which does
+    not repeat the check, since each of them checks its own junction or
+    only cuts a path that is already valid.
     """
 
     source: str
     target: str
     arrows: tuple = ()
-    _hash: int = dc_field(repr=False)
 
     def __new__(cls, source, target, arrows=()):
         arrows = tuple(arrows)
@@ -117,7 +111,6 @@ class Path:
             _set(path, "source", source)
             _set(path, "target", target)
             _set(path, "arrows", arrows)
-            _set(path, "_hash", hash(spec))
             _PATHS[spec] = path
         return path
 
@@ -131,9 +124,6 @@ class Path:
         if not arrows:
             raise PreconditionError("of_arrows needs at least one arrow")
         return Path(arrows[0].source, arrows[-1].target, arrows)
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         # As for Arrow: rebuild through the table on unpickling.
@@ -207,8 +197,12 @@ def ghost_sort_key(path):
     """Order a ghost word by length, then by its letters in product order.
 
     The path here is the real path whose reversal spells the ghost word.
+    The key is built once per path and kept in ``_GHOST_KEYS``.
     """
-    return (len(path.arrows), path.dual_key, path.source)
+    key = _GHOST_KEYS.get(path)
+    if key is None:
+        key = _GHOST_KEYS[path] = (len(path.arrows), path.dual_key, path.source)
+    return key
 
 
 class DiGraph:

@@ -374,6 +374,65 @@ def test_readme_module_examples_match_golden(tmp_path):
     assert readme_module_transcript(str(tmp_path)) == expected
 
 
+def readme_printed_examples():
+    """(argv, stdout) of each ``$ leavitt`` line the README prints output for."""
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), re.S)
+    examples = []
+    for block in blocks:
+        current = None
+        for line in block.splitlines():
+            if line.startswith("$ leavitt "):
+                current = [shlex.split(line[len("$ leavitt "):]), ""]
+                examples.append(current)
+            elif current is not None:
+                current[1] += line + "\n"
+    return examples
+
+
+def readme_printed_transcript(directory):
+    """Exit code and stdout of each printed README example, at its defaults."""
+    files = dict(README_GRAPHS, **{"quat.ideal": QUAT_IDEAL})
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    chunks = []
+    for argv, _ in readme_printed_examples():
+        code, out, err = run_cli([os.path.join(directory, a) if a in files else a for a in argv])
+        chunks.append(f"$ leavitt {shlex.join(argv)}\nexit={code}\n{out}{err}")
+    return "".join(chunks)
+
+
+HASH_ORDER_REPLAY = """\
+import sys
+from leavitt import parse_graph
+import test_cli
+
+# 2801 paths no example uses, made first, move every later path and arrow
+# to other addresses, and so to other identity hashes
+parse_graph("[vertices]\\nz\\n[families]\\nk[]: z -> z\\n").all_paths(4, family_cap=7)
+sys.stdout.write(test_cli.readme_printed_transcript(sys.argv[1]))
+sys.stdout.write(test_cli.readme_module_transcript(sys.argv[1]))
+"""
+
+
+def test_readme_output_does_not_depend_on_hash_order(tmp_path):
+    # Paths and arrows hash by identity, so a set or dict of them iterated
+    # into a report would order it by memory address.
+    examples = readme_printed_examples()
+    assert [argv[0] for argv, _ in examples] == ["nf", "schreier"]
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=os.pathsep.join([src, HERE]))
+    out = subprocess.run(
+        [sys.executable, "-c", HASH_ORDER_REPLAY, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = handle.read()
+    printed = "".join(f"$ leavitt {shlex.join(argv)}\nexit=0\n{text}" for argv, text in examples)
+    assert out == printed + golden
+
+
 # -- failure modes --------------------------------------------------------------------
 
 

@@ -175,14 +175,15 @@ def words(draw):
 
 def _same_value(p, q):
     assert (p.source, p.target, p.arrows) == (q.source, q.target, q.arrows)
-    assert p == q and hash(p) == hash(q)
+    assert p is q and p == q and hash(p) == hash(q) == object.__hash__(q)
 
 
 @given(words(), st.data())
 def test_path_operations_build_equal_values(ws, data):
     word, other, a = ws
     full = Path("v", "v", word)
-    assert hash(full) == hash(("v", "v", word))
+    assert full is digraph._PATHS[("v", "v", word)]
+    assert hash(full) == object.__hash__(full)
     cut = data.draw(st.integers(0, len(word)))
     head, tail = Path("v", "v", word[:cut]), Path("v", "v", word[cut:])
     assert head.concat(tail).strip_prefix(head) == tail
@@ -207,7 +208,8 @@ def test_arrows_and_paths_from_separate_parses_are_equal():
     for a1, a2 in zip(g1.all_arrows(3), g2.all_arrows(3), strict=True):
         assert a1 is a2
         assert a1 == a2 and hash(a1) == hash(a2)
-        assert hash(a1) == hash((a1.name, a1.source, a1.target, a1.index))
+        assert a1 is digraph._ARROWS[(a1.name, a1.source, a1.target, a1.index)]
+        assert hash(a1) == object.__hash__(a1)
         assert a1.key == ((a1.name,) if a1.index is None else (a1.name, a1.index))
     p1, p2 = parse_path(g1, "a.f[2].b"), parse_path(g2, "a.f[2].b")
     assert p1 == p2 and hash(p1) == hash(p2) and {p1: 1}[p2] == 1
@@ -216,11 +218,19 @@ def test_arrows_and_paths_from_separate_parses_are_equal():
 
 
 def test_equal_hashes_do_not_make_equal_values():
-    # hash(-1) == hash(-2) in CPython, so these collide on purpose
+    # hash(-1) == hash(-2) in CPython, so the specs of these collide on purpose
+    assert hash(("f", "v", "v", -1)) == hash(("f", "v", "v", -2))
     a, b = Arrow("f", "v", "v", -1), Arrow("f", "v", "v", -2)
-    assert hash(a) == hash(b) and a != b
     pa, pb = Path.of_arrows((a,)), Path.of_arrows((b,))
-    assert hash(pa) == hash(pb) and pa != pb
+    assert a is not b and a != b and pa is not pb and pa != pb
+    keyed = {a: 1, b: 2, pa: 3, pb: 4}
+    assert len(keyed) == 4 and keyed[b] == 2 and keyed[pb] == 4
+
+
+def test_arrows_and_paths_hash_by_identity():
+    # interning makes identity hashing exact; a stored hash would be waste
+    assert Arrow.__hash__ is Path.__hash__ is object.__hash__
+    assert "_hash" not in Arrow.__slots__ and "_hash" not in Path.__slots__
 
 
 def test_operations_move_base_points(sink3):
@@ -263,7 +273,8 @@ def test_public_construction_still_validates(sink3):
 
 
 def test_unpickled_values_rehash_in_the_new_process():
-    # pickled under another hash seed, the stored hashes would be stale
+    # pickled in another process, under another hash seed: unpickling must
+    # hand back this process's interned objects, hashed by their identity
     code = (
         "import pickle, sys; from leavitt import parse_graph, parse_path; "
         "from conftest import ABFAM; "
@@ -278,8 +289,10 @@ def test_unpickled_values_rehash_in_the_new_process():
     ).stdout
     p = pickle.loads(blob)
     assert p == parse_path(parse_graph(ABFAM), "a.f[2]")
-    assert hash(p) == hash((p.source, p.target, p.arrows))
-    assert hash(p.arrows[1]) == hash(("f", "v", "v", 2))
+    assert p is parse_path(parse_graph(ABFAM), "a.f[2]")
+    assert hash(p) == object.__hash__(p)
+    assert p.arrows[1] is Arrow("f", "v", "v", 2)
+    assert hash(p.arrows[1]) == object.__hash__(p.arrows[1])
     assert isinstance(p.arrows[0], Arrow)
     assert p.arrows[1] is parse_graph(ABFAM).arrow("f", 2)
 
@@ -354,3 +367,26 @@ def test_invalid_paths_still_raise_once_valid_ones_are_interned(sink3):
         with pytest.raises(PreconditionError):
             Path(*endpoints, arrows)
         assert len(digraph._PATHS) == before
+
+
+# -- ghost sort keys are tabled per interned path ------------------------------------
+
+
+@given(words())
+def test_ghost_sort_key_is_built_once_per_path(ws):
+    word, _, _ = ws
+    p = Path("v", "v", word)
+    key = ghost_sort_key(p)
+    assert key == (len(p.arrows), p.dual_key, p.source)
+    assert ghost_sort_key(p) is key
+    assert ghost_sort_key(Path("v", "v", list(word))) is key
+
+
+def test_ghost_keys_are_held_for_interned_paths_only(rose2):
+    paths = rose2.all_paths(3)
+    for p in paths:
+        ghost_sort_key(p)
+    assert all(p in digraph._GHOST_KEYS for p in paths)
+    assert all(
+        digraph._PATHS[(p.source, p.target, p.arrows)] is p for p in digraph._GHOST_KEYS
+    )

@@ -269,6 +269,22 @@ def test_cyclic_submodule_of_the_generator_is_everything(rose2, q):
         assert all(cl.contains({lab: q.one}) for lab in M.labels(window))
 
 
+def test_window_guard_drops_ghost_images_that_leave_the_window(rose2, q):
+    # A ghost can raise a label's degree: on a generator backed Chen word it
+    # moves a bare offset slot one offset, and one degree, further on.  So
+    # the guard has to read the degrees of the image, not of the label.
+    window = 3
+    M = chen_module(rose2, q, thue_morse_word(rose2, *loops(rose2, "x1", "x2")))
+    ops = dict(prefix_ops(M, window).ops)
+    edge = (Path.vertex("v"), ("off", window))
+    assert edge in M.labels(window) and M.degree(edge) == window
+    letter = M.tail.fn(window)
+    assert [M.degree(lab) for lab in M.act_ghost(letter, edge)] == [window + 1]
+    assert ops[f"{letter}*"](edge) is None
+    inner = (Path.vertex("v"), ("off", window - 1))
+    assert ops[f"{M.tail.fn(window - 1)}*"](inner) == {edge: 1}
+
+
 def test_cyclic_submodule_detects_proper_pieces(abfam, q):
     a, b = loops(abfam, "a", "b")
     M = linear_example_module(abfam, q, a, b, "linear")

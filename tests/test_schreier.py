@@ -61,9 +61,10 @@ def test_quaternion_staircase_shape(roseab, q):
 def test_rebuilding_a_staircase_interns_no_new_paths(roseab, q):
     # a table key that fails to dedupe equal paths would grow the table here
     first = quat_staircase(roseab, q)
-    size = len(digraph._PATHS)
+    size, keyed = len(digraph._PATHS), len(digraph._GHOST_KEYS)
     again = quat_staircase(roseab, q)
     assert len(digraph._PATHS) == size
+    assert len(digraph._GHOST_KEYS) == keyed
     assert all(p is r for p, r in zip(first.rows, again.rows, strict=True))
     assert all(p is r for p, r in zip(first.coset, again.coset, strict=True))
 
