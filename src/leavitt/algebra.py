@@ -11,7 +11,6 @@ import re
 
 from .digraph import Path, path_sort_key
 from .errors import ParseError, PreconditionError
-from .linalg import vec_add_into
 
 
 class Element:
@@ -86,13 +85,7 @@ class Element:
 
     def __add__(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, self.field.zero) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+        terms = _add_into(self.field, dict(self.terms), other.terms, self.field.one)
         return Element._trusted(self.graph, self.field, terms)
 
     def __neg__(self):
@@ -183,6 +176,17 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def _add_into(field, acc, vec, scalar):
+    """acc += scalar * vec over field scalars, dropping keys that cancel."""
+    for key, coeff in vec.items():
+        val = acc.get(key, field.zero) + coeff * scalar
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def _mono_product(a1, b1, a2, b2):
@@ -405,7 +409,7 @@ class _ExprParser:
             sign = -one if self.take()[1] == "-" else one
         while True:
             element, coeff = self.term()
-            vec_add_into(self.field, terms, element.terms, coeff * sign)
+            _add_into(self.field, terms, element.terms, coeff * sign)
             if self.pos >= len(self.tokens):
                 return Element(self.graph, self.field, terms)
             kind, val = self.take()

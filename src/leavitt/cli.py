@@ -229,8 +229,16 @@ def _build_module(args, graph, field):
         return rangaswamy_module(graph, field, delta, q, family_cap=cap)
     if kind == "mantese":
         weights = _parse_weights(graph, field, args.weights)
-        sources = {a.source for a in weights}
-        v = _default_vertex(graph, args.at) if args.at else next(iter(sources))
+        sources = sorted({a.source for a in weights})
+        if args.at:
+            v = _default_vertex(graph, args.at)
+        elif len(sources) == 1:
+            v = sources[0]
+        else:
+            raise PreconditionError(
+                f"the weighted arrows leave {', '.join(sources) or 'no vertex'}; "
+                "choose the base vertex with --at"
+            )
         return mantese_module(graph, field, v, weights, family_cap=cap)
     if kind == "linear":
         if args.arrow_a and args.arrow_b:

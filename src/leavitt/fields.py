@@ -6,15 +6,14 @@ scalars: ints and text enter through ``field.of`` and ``field.parse``.  Scalars
 are never mutated, so ``field.zero`` and ``field.one`` are constants that every
 caller shares.
 
-Each field also has a native codec for the elimination kernel:
-``native(x)`` turns a scalar of the field into the plain value the kernel
-computes with, ``scalar(n)`` turns such a value back, and
+Each field also converts between its scalars and the native values that
+the library computes with inside (see leavitt.linalg): ``native(x)`` turns a
+scalar of the field into a native value, ``scalar(n)`` turns one back, and
 ``native_inverse(n)`` inverts it.  Over GF(p) a native value is the int
 residue in [0, p); over Q it is an int while integral and a Fraction
-otherwise.  ``native`` keeps the same-field contract: a value of any other
-type, a float included, raises TypeError, and a GF scalar of another
-modulus raises PreconditionError.  ``field.codec`` is the codec of loops
-that stay native: it converts nothing, and its zero and one are 0 and 1.
+otherwise.  ``native`` keeps the same-field contract for every public entry
+point: a value of any other type, a float included, raises TypeError, and
+a GF scalar of another modulus raises PreconditionError.
 """
 
 from fractions import Fraction
@@ -89,22 +88,6 @@ class GFScalar:
         return str(self.residue)
 
 
-class NativeCodec:
-    """The native values of a field, with the interface of a field."""
-
-    zero, one = 0, 1
-
-    def __init__(self, field):
-        self.field = field
-        self.characteristic = field.characteristic
-        self.native_inverse = field.native_inverse
-
-    def native(self, n):
-        return n
-
-    scalar = native
-
-
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -137,7 +120,6 @@ class RationalField:
     name = "q"
     zero = Fraction(0)
     one = Fraction(1)
-    codec = property(NativeCodec)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -180,8 +162,6 @@ class RationalField:
 
 class PrimeField:
     """The prime field GF(p); zero and one are built once, in __init__."""
-
-    codec = property(NativeCodec)
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):

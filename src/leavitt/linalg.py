@@ -1,41 +1,22 @@
-"""Sparse linear algebra over exact fields.
+"""Sparse linear algebra over exact fields, on native values.
 
-Vectors are dicts from keys to nonzero scalars.  SpanEchelon is the one
-elimination kernel of the package: Schreier staircases, module spans,
-annihilators and the commutant solve all run through it.
+Vectors are dicts from keys to nonzero native scalars (see leavitt.fields):
+int residues in [0, p) over GF(p), and over Q an int while a value is
+integral and a Fraction otherwise; every division over Q is Fraction(a, b).
+SpanEchelon is the one elimination kernel of the package: Schreier
+staircases, module spans, annihilators and the commutant solve all run
+through it.  It takes and hands back native vectors only, its rows, tags
+and kernel included, and converts nothing.
 
-SpanEchelon computes in its field's native representation (see
-leavitt.fields): int residues over GF(p), and over Q an int while a value
-is integral and a Fraction otherwise; every division over Q is
-Fraction(a, b).  It converts only at its boundary.  The vectors and tags
-that insert, reduce and contains take are decoded with field.native, which
-refuses another type (a float included) with TypeError and another modulus
-with PreconditionError.  Every vector it hands back, from insert, reduce,
-kernel, rows and tags, holds the field's own scalars, GFScalar or
-Fraction, and never a float.
-
-Built over ``field.codec``, as the probes of leavitt.probes build it, it
-converts nothing: it takes nonzero native values and hands native ones back.
+Callers convert once, at the public boundary: encode turns a vector of
+field scalars into a native one and keeps the same-field contract (another
+type, a float included, raises TypeError, and a scalar of another modulus
+PreconditionError); decode turns a native vector back into field scalars.
 """
 
 from bisect import insort
-from collections.abc import Mapping
 
 from .errors import PreconditionError
-from .fields import NativeCodec
-
-
-def vec_add_into(field, acc, vec, scalar):
-    """acc += scalar * vec, dropping keys whose coefficient cancels."""
-    if not scalar:
-        return acc
-    for key, coeff in vec.items():
-        val = acc.get(key, field.zero) + coeff * scalar
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def add_native(acc, vec, scalar, p):
@@ -62,40 +43,8 @@ def decode(field, vec):
     return {k: scalar(v) for k, v in vec.items()}
 
 
-class _ScalarView(Mapping):
-    """A read-only view of a dict of native vectors as field-scalar vectors.
-
-    Membership, length and iteration go straight to the dict; only a value
-    that is looked up is converted.
-    """
-
-    __slots__ = ("_vecs", "_field")
-
-    def __init__(self, vecs, field):
-        self._vecs = vecs
-        self._field = field
-
-    def __getitem__(self, key):
-        return decode(self._field, self._vecs[key])
-
-    def __contains__(self, key):
-        return key in self._vecs
-
-    def __len__(self):
-        return len(self._vecs)
-
-    def __iter__(self):
-        return iter(self._vecs)
-
-    def __eq__(self, other):
-        # Native values are canonical in their field: compare undecoded.
-        if isinstance(other, _ScalarView) and other._field == self._field:
-            return self._vecs == other._vecs
-        return Mapping.__eq__(self, other)
-
-
 class SpanEchelon:
-    """Row echelon over sparsely supported vectors.
+    """Row echelon over sparsely supported native vectors.
 
     Rows pivot on their largest key under sort_key and are normalized to
     leading coefficient one.  sort_key must be injective on keys: two keys
@@ -106,40 +55,30 @@ class SpanEchelon:
     tail may hold later pivots; the pivot set and the normal form that
     reduce returns do not depend on that.
 
-    rows and tags map each pivot to its row and tag.  They are read-only
-    views over the native store, so pivot membership costs no conversion.
+    rows and tags map each pivot to its row and tag; callers read them and
+    never write them.
     """
 
     def __init__(self, field, sort_key):
         self.field = field
         self.sort_key = sort_key
         self._p = field.characteristic
-        self._raw = isinstance(field, NativeCodec)
-        self._canon = (field.field if self._raw else field).native
-        self._rows = {}
-        self._tags = {}
-        self.rows = _ScalarView(self._rows, field)
-        self.tags = _ScalarView(self._tags, field)
+        self.rows = {}
+        self.tags = {}
 
     @property
     def rank(self):
-        return len(self._rows)
+        return len(self.rows)
 
     def pivots(self):
-        return sorted(self._rows, key=self.sort_key)
-
-    def _native(self, vec):
-        return dict(vec) if self._raw else encode(self.field, vec)
-
-    def _scalars(self, vec):
-        return vec if self._raw else decode(self.field, vec)
+        return sorted(self.rows, key=self.sort_key)
 
     def _scaled(self, vec, c):
         """c * vec, each value reduced mod p, or made an int if integral."""
         p = self._p
         if p:
             return {k: v * c % p for k, v in vec.items()}
-        canon = self._canon
+        canon = self.field.native
         return {k: canon(v * c) for k, v in vec.items()}
 
     def _eliminate(self, vec, top):
@@ -147,11 +86,10 @@ class SpanEchelon:
 
         With top set the elimination stops at the first leading key that
         is not a pivot and returns it as the third value; otherwise every
-        pivot is cancelled and the third value is None.  All three values
-        are native.
+        pivot is cancelled and the third value is None.
         """
-        rows, tags, sort_key, p = self._rows, self._tags, self.sort_key, self._p
-        rem = self._native(vec)
+        rows, tags, sort_key, p = self.rows, self.tags, self.sort_key, self._p
+        rem = dict(vec)
         combo = {}
         # Keys still to visit, as (sort key, key) in ascending order; a key
         # that cancelled since it was queued is skipped when it comes up.
@@ -187,7 +125,7 @@ class SpanEchelon:
     def reduce(self, vec):
         """Return (remainder, combo) with vec = remainder + combo of raw rows."""
         rem, combo, _ = self._eliminate(vec, False)
-        return self._scalars(rem), self._scalars(combo)
+        return rem, combo
 
     def insert(self, vec, tag=None):
         """Top-reduce vec and store the result if it is nonzero.
@@ -197,16 +135,15 @@ class SpanEchelon:
         the remainder is only reduced down to its leading key, the new
         pivot.  tag names this raw row in later combos.
         """
-        rtag = None if tag is None else self._native(tag)
         rem, combo, pivot = self._eliminate(vec, True)
         if pivot is not None:
             inv = self.field.native_inverse(rem[pivot])
-            self._rows[pivot] = self._scaled(rem, inv)
-            if rtag is not None or combo:
-                rtag = rtag or {}
+            self.rows[pivot] = self._scaled(rem, inv)
+            if tag is not None or combo:
+                rtag = dict(tag or ())
                 add_native(rtag, combo, -1, self._p)
-                self._tags[pivot] = self._scaled(rtag, inv)
-        return self._scalars(rem), self._scalars(combo), pivot
+                self.tags[pivot] = self._scaled(rtag, inv)
+        return rem, combo, pivot
 
     def contains(self, vec):
         rem, _ = self.reduce(vec)
@@ -222,7 +159,7 @@ class SpanEchelon:
         tail is known before the row is solved.
         """
         keyset = set(keys)
-        for pivot, row in self._rows.items():
+        for pivot, row in self.rows.items():
             outside = row.keys() - keyset
             if outside:
                 raise PreconditionError(
@@ -233,19 +170,18 @@ class SpanEchelon:
         value = {}
         for pivot in self.pivots():
             val = {}
-            for k, c in self._rows[pivot].items():
+            for k, c in self.rows[pivot].items():
                 if k != pivot:
                     add_native(val, value.get(k, {k: 1}), -c, p)
             value[pivot] = val
-        one = self.field.one
         basis = []
         for f in keys:
-            if f in self._rows:
+            if f in self.rows:
                 continue
-            vec = {f: one}
+            vec = {f: 1}
             for pivot, val in value.items():
                 c = val.get(f)
                 if c:
-                    vec[pivot] = self.field.scalar(c)
+                    vec[pivot] = c
             basis.append(vec)
         return basis

@@ -7,12 +7,13 @@ in a truncated span is only trusted in the positive direction, and the
 endomorphism solver returns the solution space of the equations it could
 form, together with whether its multiplication table closed.
 
-Module vectors are native inside the probes (see leavitt.fields), and so
-are the rows of Closure.echelon: Closure and endomorphism_probe build their
-echelons over field.codec.  Vectors are encoded once as they come in, as
-Closure seeds and contains arguments and as label images of prefix_ops and
-staircase_ops, and decoded once on the way out: witnesses and the basis,
-unit_coords and table of an EndomorphismReport hold the field's scalars.
+Module vectors are native inside the probes (see leavitt.linalg), as are
+the label operators of the modules and the rows of Closure.echelon, a
+native pivot table.  Every public function and method takes and returns
+field scalars: vectors are encoded once as they come in, as Closure seeds
+and contains arguments, and decoded once on the way out, as witnesses,
+socle and annihilator vectors, and the basis, unit_coords and table of an
+EndomorphismReport.
 """
 
 import random
@@ -20,7 +21,7 @@ from collections import deque
 
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
-from .linalg import SpanEchelon, add_native, decode, encode, vec_add_into
+from .linalg import SpanEchelon, add_native, decode, encode
 from .schreier import SchreierStaircase, element_to_ghost
 
 
@@ -60,11 +61,11 @@ def prefix_ops(space, window):
     def guard(img):
         if img and max(space.degree(l) for l in img) > window:
             return None
-        return encode(space.field, img)
+        return img
 
     ops = []
     for v in sorted(space.graph.vertices):
-        ops.append((f"v:{v}", lambda lab, v=v: encode(space.field, space.act_vertex(v, lab))))
+        ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
     arrows = space.active_arrows()
     for a in arrows:
         ops.append((str(a), lambda lab, a=a: guard(space.act_arrow(a, lab))))
@@ -131,7 +132,7 @@ class Closure:
 
     def __init__(self, mod):
         self.mod = mod
-        self.echelon = SpanEchelon(mod.field.codec, mod.sort_key)
+        self.echelon = SpanEchelon(mod.field, mod.sort_key)
         self.overflowed = False
 
     @property
@@ -250,21 +251,23 @@ def simplicity_probe(space, window, samples=12, seed=0):
 
 
 def ghost_annihilated(space, vec, modulo=None):
-    """Whether every active ghost arrow sends vec to zero, or into modulo."""
+    """Whether every active ghost arrow sends vec to zero, or into the span
+    of the Closure modulo when one is given."""
+    vec = encode(space.field, vec)
     for a in space.active_arrows():
-        img = space.ghost_apply(a, vec)
-        if img if modulo is None else not modulo.contains(img):
+        img = space._apply(space.act_ghost, a, vec)
+        if img if modulo is None else not modulo.echelon.contains(img):
             return False
     return True
 
 
-def socle_filter(space, vectors, modulo=None):
+def socle_filter(space, vectors):
     """Combinations of the given vectors killed by every active ghost arrow.
 
-    Images are taken modulo an optional SpanEchelon.  Returns a list of
-    vectors, one per independent combination.
+    Returns a list of vectors, one per independent combination.
     """
-    field = space.field
+    field, p = space.field, space.field.characteristic
+    vectors = [encode(field, vec) for vec in vectors]
     arrows = space.active_arrows()
     arrow_rank = {a: i for i, a in enumerate(arrows)}
 
@@ -276,19 +279,15 @@ def socle_filter(space, vectors, modulo=None):
     for i, vec in enumerate(vectors):
         stacked = {}
         for a in arrows:
-            img = space.ghost_apply(a, vec)
-            if modulo is not None:
-                img, _ = modulo.reduce(img)
-            for lab, c in img.items():
+            for lab, c in space._apply(space.act_ghost, a, vec).items():
                 stacked[(a, lab)] = c
-        rem, combo, piv = ech.insert(stacked, {i: field.one})
+        _, combo, piv = ech.insert(stacked, {i: 1})
         if piv is None:
-            found = {}
-            vec_add_into(field, found, vec, field.one)
+            found = dict(vec)
             for j, c in combo.items():
-                vec_add_into(field, found, vectors[j], -c)
+                add_native(found, vectors[j], -c, p)
             if found:
-                out.append(found)
+                out.append(decode(field, found))
     return out
 
 
@@ -339,16 +338,18 @@ def composition_probe(space, candidates, window):
     boundary simple at u.
     """
     cl = Closure(prefix_ops(space, window))
+    p = space.field.characteristic
     factors = []
     for m in candidates:
         prev_dim = cl.dim
         strict = not cl.contains(m)
         vertex = None
         if strict and ghost_annihilated(space, m, modulo=cl):
+            native = encode(space.field, m)
             for u in sorted(space.graph.vertices):
-                fixed = dict(m)
-                vec_add_into(space.field, fixed, space.vertex_apply(u, m), -space.field.one)
-                if cl.contains(fixed):
+                fixed = dict(native)
+                add_native(fixed, space._apply(space.act_vertex, u, native), -1, p)
+                if cl.echelon.contains(fixed):
                     vertex = u
                     break
         cl.extend([m])
@@ -364,7 +365,7 @@ def composition_probe(space, candidates, window):
     # labels come sorted by degree, so the first one missed ends the run
     exhausted = window
     for lab in space.labels(window):
-        if not cl.contains({lab: space.field.one}):
+        if not cl.echelon.contains({lab: 1}):
             exhausted = space.degree(lab) - 1
             break
     return {
@@ -503,9 +504,9 @@ def endomorphism_probe(target, degree=None):
     var_index = {v: i for i, v in enumerate(variables)}
     rows = [encode(field, mod.generator)]
     syms = [{v: {v: 1} for v in variables}]
-    ech = SpanEchelon(field.codec, mod.sort_key)
+    ech = SpanEchelon(field, mod.sort_key)
     ech.insert(rows[0], {0: 1})
-    constraints = SpanEchelon(field.codec, var_index.__getitem__)
+    constraints = SpanEchelon(field, var_index.__getitem__)
     eq_count = 0
     overflow = False
     queue = deque([0])
@@ -584,28 +585,31 @@ def annihilator_staircase(space, vec, degree):
     of the annihilator staircase at this degree.
     """
     field = space.field
+    vec = encode(field, vec)
     ech = SpanEchelon(field, space.label_sort_key)
     kernel = []
     words = space.graph.all_paths(degree, space.family_cap)
     for beta in sorted(words, key=ghost_sort_key):
-        img = space.act_monomial(Path.vertex(beta.target), beta, vec)
-        rem, combo, piv = ech.insert(img, {beta: field.one})
+        img = space._monomial(Path.vertex(beta.target), beta, vec)
+        _, combo, piv = ech.insert(img, {beta: 1})
         if piv is None:
-            k = {beta: field.one}
-            vec_add_into(field, k, combo, -field.one)
-            kernel.append(k)
+            k = {beta: 1}
+            add_native(k, combo, -1, field.characteristic)
+            kernel.append(decode(field, k))
     return kernel
 
 
 def annihilator_member_fn(space, vec):
     """Membership oracle for the annihilator of vec, exact on ghost elements."""
 
+    field = space.field
+    vec = encode(field, vec)
+
     def member(element):
-        ghost = element_to_ghost(element)
         acc = {}
-        for beta, coeff in ghost.items():
-            img = space.act_monomial(Path.vertex(beta.target), beta, vec)
-            vec_add_into(space.field, acc, img, coeff)
+        for beta, coeff in element_to_ghost(element).items():
+            img = space._monomial(Path.vertex(beta.target), beta, vec)
+            add_native(acc, img, field.native(coeff), field.characteristic)
         return not acc
 
     return member

@@ -7,6 +7,13 @@ strip the first arrow of mu, and what the ghost arrows do to bare slots
 is what distinguishes the constructions; the labels identified away
 follow from it through the summation relation.  Vectors over the basis
 are plain dicts from labels to scalars.
+
+Every public method takes and returns vectors of field scalars.  Inside,
+the label level operators (act_vertex, act_arrow, act_ghost, slot_ghost,
+canonical_into, rewrite_step) work on the field's native values (see
+leavitt.linalg), and so do _apply and _monomial, the two vector loops
+that the public vertex_apply, arrow_apply, ghost_apply, act_monomial and
+act_element wrap with one encode and one decode.
 """
 
 from functools import cached_property
@@ -14,7 +21,7 @@ from functools import cached_property
 from .digraph import CycleTail, Path, ghost_sort_key
 from .division import check_poly, is_irreducible
 from .errors import PreconditionError
-from .linalg import SpanEchelon, vec_add_into
+from .linalg import SpanEchelon, add_native, decode, encode
 from .schreier import ghost_to_element
 
 
@@ -23,18 +30,23 @@ class PrefixModule:
 
     A subclass gives its bottom layer as data.  self.slots maps each slot
     to (base vertex, name, rank), and self.ghost maps (arrow, slot) to the
-    image of the bare slot under that ghost arrow, a vector over labels;
-    a missing entry is the zero image.  Real arrows prepend freely, and
-    the only identifications are the summation relation at the regular
-    vertices not listed under the ck2_exempt metadata, which rules derives
-    from the two tables.  Every rewrite replaces a label by labels smaller
-    under label_sort_key, and prepending a path keeps that order, so
-    canonicalization terminates.
+    image of the bare slot under that ghost arrow, a vector of field
+    scalars over labels; a missing entry is the zero image.  Real arrows
+    prepend freely, and the only identifications are the summation
+    relation at the regular vertices not listed under the ck2_exempt
+    metadata, which rules derives from the two tables.  Every rewrite
+    replaces a label by labels smaller under label_sort_key, and
+    prepending a path keeps that order, so canonicalization terminates.
+
+    The label operators work on native values, so the ghost table is
+    encoded once, into a cached native table, the first time it is used;
+    rules, like every public vector method, holds field scalars.
     """
 
     def __init__(self, graph, field, family_cap=2):
         self.graph = graph
         self.field = field
+        self._p = field.characteristic
         self.family_cap = family_cap
         self.metadata = {}
         self.generator_label = None
@@ -57,7 +69,11 @@ class PrefixModule:
         return self.slots[slot][1]
 
     def slot_ghost(self, arrow, slot):
-        return dict(self.ghost.get((arrow, slot), ()))
+        return dict(self._ghost.get((arrow, slot), ()))
+
+    @cached_property
+    def _ghost(self):
+        return {key: encode(self.field, img) for key, img in self.ghost.items()}
 
     def bare(self, slot):
         """The label of the bare slot vector."""
@@ -77,9 +93,13 @@ class PrefixModule:
         tail.  The pivot set of a span does not depend on the insertion
         order, so the rules are canonical.
         """
-        field = self.field
+        return {label: decode(self.field, rhs) for label, rhs in self._rules.items()}
+
+    @cached_property
+    def _rules(self):
+        # The rules over native values.
         exempt = set(self.metadata.get("ck2_exempt", ()))
-        ech = SpanEchelon(field, self.label_sort_key)
+        ech = SpanEchelon(self.field, self.label_sort_key)
         for u in self.graph.vertices:
             if u in exempt or self.graph.classify_vertex(u) != "regular":
                 continue
@@ -89,17 +109,19 @@ class PrefixModule:
                 image = {
                     (mu.prepend(e), s): c
                     for e in self.graph.out_arrows(u)
-                    for (mu, s), c in self.ghost.get((e, w), {}).items()
+                    for (mu, s), c in self._ghost.get((e, w), {}).items()
                 }
-                if ech.insert(image, {self.bare(w): field.one})[2] is None:
+                if ech.insert(image, {self.bare(w): 1})[2] is None:
                     raise PreconditionError(
                         f"the slot images at regular vertex {u} are dependent, "
                         f"so the summation relation collapses {name}"
                     )
-        return {
-            pivot: {**ech.tags[pivot], **{k: -c for k, c in row.items() if k != pivot}}
-            for pivot, row in ech.rows.items()
-        }
+        rules = {}
+        for pivot, row in ech.rows.items():
+            # The tag holds bare slots only, and no row holds one.
+            rhs = rules[pivot] = {pivot: 1, **ech.tags[pivot]}
+            add_native(rhs, row, -1, self._p)
+        return rules
 
     @cached_property
     def _suffixes(self):
@@ -107,21 +129,21 @@ class PrefixModule:
         # lengths: a label is identified when a suffix of its path is a pivot.
         # A pivot ending in another would leave two rewrites for one label
         # and normal forms that need not be independent.
-        table = {(mu.arrows, slot): rhs for (mu, slot), rhs in self.rules.items()}
+        table = {(mu.arrows, slot): rhs for (mu, slot), rhs in self._rules.items()}
         for arrows, slot in table:
             if any((arrows[k:], slot) in table for k in range(1, len(arrows))):
                 raise PreconditionError(
                     f"the identified label {self.label_str((Path.of_arrows(arrows), slot))} "
                     "ends in another identified label"
                 )
-        return table, sorted({len(mu) for mu, _ in self.rules})
+        return table, sorted({len(mu) for mu, _ in table})
 
     @property
     def free_prepend(self):
         """True when no label is identified away, so prepending a path
         raises the degree of every component by exactly the path length.
         Probes use this to turn windowed span checks into certificates."""
-        return not self.rules
+        return not self._rules
 
     def excluded(self, mu, slot):
         table, lengths = self._suffixes
@@ -167,7 +189,9 @@ class PrefixModule:
         """Accumulate coeff times the class of (mu, slot) over legal labels."""
         if mu.is_vertex or not self.excluded(mu, slot):
             label = (mu, slot)
-            val = acc.get(label, self.field.zero) + coeff
+            val = acc.get(label, 0) + coeff
+            if self._p:
+                val %= self._p
             if val:
                 acc[label] = val
             else:
@@ -206,67 +230,70 @@ class PrefixModule:
     def generator_vector(self):
         return {self.generator_label: self.field.one}
 
-    # actions ----------------------------------------------------------------
+    # actions on labels, over native values ------------------------------------
 
     def act_vertex(self, v, label):
         if self.base_vertex(label) == v:
-            return {label: self.field.one}
+            return {label: 1}
         return {}
 
     def act_arrow(self, arrow, label):
         mu, slot = label
         if arrow.target != mu.source:
             return {}
-        return self.canonical_into({}, mu.prepend(arrow), slot, self.field.one)
+        return self.canonical_into({}, mu.prepend(arrow), slot, 1)
 
     def act_ghost(self, arrow, label):
         mu, slot = label
         if not mu.is_vertex:
             if mu.arrows[0] == arrow:
-                return {(mu.drop_first(), slot): self.field.one}
+                return {(mu.drop_first(), slot): 1}
             return {}
         return self.slot_ghost(arrow, slot)
 
     def active_arrows(self):
         return self.graph.all_arrows(self.family_cap)
 
-    # vector level -------------------------------------------------------------
+    # vectors ------------------------------------------------------------------
 
     def _apply(self, action, arg, vec):
-        out = {}
+        out, p = {}, self._p
         for label, coeff in vec.items():
-            vec_add_into(self.field, out, action(arg, label), coeff)
+            add_native(out, action(arg, label), coeff, p)
         return out
 
-    def vertex_apply(self, v, vec):
-        return self._apply(self.act_vertex, v, vec)
-
-    def arrow_apply(self, arrow, vec):
-        return self._apply(self.act_arrow, arrow, vec)
-
-    def ghost_apply(self, arrow, vec):
-        return self._apply(self.act_ghost, arrow, vec)
-
-    def act_monomial(self, alpha, beta, vec):
+    def _monomial(self, alpha, beta, vec):
         """Apply alpha.beta*: the ghost word first, innermost letter first."""
         for b in beta.arrows:
-            vec = self.ghost_apply(b, vec)
+            vec = self._apply(self.act_ghost, b, vec)
             if not vec:
                 return {}
         if beta.is_vertex or alpha.is_vertex:
             anchor = beta.source if beta.is_vertex else alpha.target
-            vec = self.vertex_apply(anchor, vec)
+            vec = self._apply(self.act_vertex, anchor, vec)
         for a in reversed(alpha.arrows):
-            vec = self.arrow_apply(a, vec)
+            vec = self._apply(self.act_arrow, a, vec)
             if not vec:
                 return {}
         return vec
 
+    def vertex_apply(self, v, vec):
+        return decode(self.field, self._apply(self.act_vertex, v, encode(self.field, vec)))
+
+    def arrow_apply(self, arrow, vec):
+        return decode(self.field, self._apply(self.act_arrow, arrow, encode(self.field, vec)))
+
+    def ghost_apply(self, arrow, vec):
+        return decode(self.field, self._apply(self.act_ghost, arrow, encode(self.field, vec)))
+
+    def act_monomial(self, alpha, beta, vec):
+        return decode(self.field, self._monomial(alpha, beta, encode(self.field, vec)))
+
     def act_element(self, element, vec):
-        out = {}
+        vec, out = encode(self.field, vec), {}
         for (alpha, beta), coeff in element.terms.items():
-            vec_add_into(self.field, out, self.act_monomial(alpha, beta, vec), coeff)
-        return out
+            add_native(out, self._monomial(alpha, beta, vec), self.field.native(coeff), self._p)
+        return decode(self.field, out)
 
     def vector_str(self, vec):
         if not vec:
@@ -299,19 +326,19 @@ def verify_representation(space, max_degree):
     """
     labels = space.labels(max_degree)
     arrows = space.active_arrows()
-    field = space.field
+    apply, act_arrow, act_ghost = space._apply, space.act_arrow, space.act_ghost
     failures = []
     checked = 0
     by_target = {}
     for a in arrows:
         by_target.setdefault(a.target, []).append(a)
     for m in labels:
-        mvec = {m: field.one}
+        mvec = {m: 1}
         for b in arrows:
-            bm = space.arrow_apply(b, mvec)
+            bm = apply(act_arrow, b, mvec)
             for a in by_target.get(b.target, ()):
-                got = space.ghost_apply(a, bm)
-                want = dict(mvec) if (a == b and b.target == space.base_vertex(m)) else {}
+                got = apply(act_ghost, a, bm)
+                want = mvec if (a == b and b.target == space.base_vertex(m)) else {}
                 checked += 1
                 if got != want:
                     failures.append(("ck1", str(a), str(b), space.label_str(m)))
@@ -329,10 +356,10 @@ def verify_representation(space, max_degree):
                 continue
             acc = {}
             for a in outs:
-                vec_add_into(field, acc, space.arrow_apply(a, space.ghost_apply(a, {m: field.one})), field.one)
+                add_native(acc, apply(act_arrow, a, apply(act_ghost, a, {m: 1})), 1, space._p)
             checked += 1
-            if acc != {m: field.one}:
-                failures.append(("ck2", v, space.label_str(m), space.vector_str(acc)))
+            if acc != {m: 1}:
+                failures.append(("ck2", v, space.label_str(m), space.vector_str(decode(space.field, acc))))
     return {
         "ok": not failures,
         "failures": failures,
@@ -406,10 +433,10 @@ class ChenModule(PrefixModule):
         kind, j = slot
         if kind == "rot":
             if arrow == self.cycle_slots[j].arrows[0]:
-                return {self.bare(("rot", (j + 1) % len(self.cycle_slots))): self.field.one}
+                return {self.bare(("rot", (j + 1) % len(self.cycle_slots))): 1}
             return {}
         if arrow == self.tail.fn(j):
-            return {self.bare(("off", j + 1)): self.field.one}
+            return {self.bare(("off", j + 1)): 1}
         return {}
 
     def excluded(self, mu, slot):
@@ -422,8 +449,8 @@ class ChenModule(PrefixModule):
         kind, j = slot
         if kind == "rot":
             prev = (j - 1) % len(self.cycle_slots)
-            return [(mu.drop_last(), ("rot", prev), self.field.one)]
-        return [(mu.drop_last(), ("off", j - 1), self.field.one)]
+            return [(mu.drop_last(), ("rot", prev), 1)]
+        return [(mu.drop_last(), ("off", j - 1), 1)]
 
 
 def chen_module(graph, field, word, family_cap=2):
@@ -679,16 +706,17 @@ def linear_example_module(graph, field, a, b, twist="linear", family_cap=2):
 
 def _generated_subalgebra_dim(algebra, elements):
     """Dimension of the unital subalgebra generated by the given elements."""
+    field = algebra.field
     rank = {label: i for i, label in enumerate(algebra.labels)}
-    ech = SpanEchelon(algebra.field, rank.get)
-    ech.insert(algebra.one.coords)
+    ech = SpanEchelon(field, rank.get)
+    ech.insert(encode(field, algebra.one.coords))
     frontier = [algebra.one]
     while frontier and ech.rank < algebra.dim:
         nxt = []
         for x in frontier:
             for g in elements:
                 y = x * g
-                if ech.insert(y.coords)[2] is not None:
+                if ech.insert(encode(field, y.coords))[2] is not None:
                     nxt.append(y)
         frontier = nxt
     return ech.rank
@@ -915,13 +943,13 @@ def mantese_rangaswamy_presentation(
         products.extend(nxt)
         frontier = nxt
     for nu in products:
-        _, combo, pivot = ech.insert(ghost_image(nu).coords, {nu: field.one})
+        _, combo, pivot = ech.insert(encode(field, ghost_image(nu).coords), {nu: 1})
         if pivot is not None:
             pivot_products.add(nu)
         else:
-            k = {nu: field.one}
-            vec_add_into(field, k, combo, -field.one)
-            kernel.append(k)
+            k = {nu: 1}
+            add_native(k, combo, -1, field.characteristic)
+            kernel.append(decode(field, k))
 
     generators = [ghost_to_element(graph, field, vec) for vec in kernel]
     excluded = []

@@ -13,7 +13,7 @@ which is what makes the free generator extraction below work.
 from .algebra import Element
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
-from .linalg import SpanEchelon, vec_add_into
+from .linalg import SpanEchelon, decode, encode
 
 
 def element_to_ghost(element):
@@ -41,6 +41,10 @@ class SchreierStaircase:
     many members of each arrow family participate; on graphs with families
     the truncation therefore only sees a slice of the ideal and no
     stabilization claim is made.
+
+    The generators are encoded once into the field's native values, and
+    rows is the native pivot table of the staircase (see leavitt.linalg);
+    reduce, membership and free_generators take and return field scalars.
     """
 
     def __init__(self, graph, field, generators, degree, family_cap=2):
@@ -48,13 +52,11 @@ class SchreierStaircase:
         self.field = field
         self.degree = degree
         self.family_cap = family_cap
-        self.generators = []
+        self._generators = []
         for gen in generators:
-            vec = element_to_ghost(gen) if isinstance(gen, Element) else dict(gen)
-            vec = {k: v for k, v in vec.items() if v}
-            if not vec:
-                continue
-            self.generators.append(vec)
+            vec = encode(field, element_to_ghost(gen) if isinstance(gen, Element) else gen)
+            if vec:
+                self._generators.append(vec)
         self._echelon = SpanEchelon(field, ghost_sort_key)
         self.rows = self._echelon.rows
         self._build()
@@ -63,7 +65,7 @@ class SchreierStaircase:
         self.coset = [p for p in self._universe if p not in pivots]
         self.exhaustive = not graph.family_names
         gen_degs = [
-            max(len(beta) for beta in vec) for vec in self.generators
+            max(len(beta) for beta in vec) for vec in self._generators
         ] or [0]
         basis_deg = max((len(p) for p in self.coset), default=-1)
         self.stabilized = (
@@ -73,7 +75,7 @@ class SchreierStaircase:
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        for vec in self.generators:
+        for vec in self._generators:
             maxdeg = max(len(beta) for beta in vec)
             if maxdeg > self.degree:
                 continue
@@ -99,7 +101,7 @@ class SchreierStaircase:
         """The normal form of a ghost vector against the staircase rows."""
         if isinstance(vec, Element):
             vec = element_to_ghost(vec)
-        return self._echelon.reduce(vec)[0]
+        return decode(self.field, self._echelon.reduce(encode(self.field, vec))[0])
 
     def membership(self, vec):
         """"in" is always sound; "out" is only claimed once stabilized."""
@@ -142,11 +144,13 @@ class SchreierStaircase:
             if pivot.is_vertex or pivot.drop_last() in basis:
                 corners.append(pivot)
         corners.sort(key=ghost_sort_key)
+        one = self.field.one
         out = []
         for pivot in corners:
-            rem = self.reduce({pivot: self.field.one})
-            vec = {pivot: self.field.one}
-            vec_add_into(self.field, vec, rem, -self.field.one)
+            # The normal form holds no pivot, so the generator is the pivot
+            # minus it.
+            rem = self.reduce({pivot: one})
+            vec = {pivot: one, **{k: -c for k, c in rem.items()}}
             out.append(ghost_to_element(self.graph, self.field, vec))
         return out
 

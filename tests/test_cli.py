@@ -525,6 +525,27 @@ def test_precondition_errors_exit_3(loopfam_file):
     assert "two loops" in err
 
 
+def test_mantese_base_vertex_does_not_depend_on_hash_order(tmp_path):
+    # e leaves u and h leaves v: without --at there is no one base vertex,
+    # and the error names both, the same under every string hash seed.
+    graph = tmp_path / "sink3.graph"
+    graph.write_text(SINK3)
+    argv = ["module", "mantese", "--graph", str(graph), "--weights", "e=1,h=1", "--probe", "verify"]
+    script = "import sys\nfrom leavitt.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = os.path.join(os.path.dirname(HERE), "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True,
+        )
+        for seed in ("1", "2")
+    ]
+    assert [done.returncode for done in runs] == [3, 3]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.decode() == "error: the weighted arrows leave u, v; choose the base vertex with --at\n"
+
+
 def test_reports_are_deterministic(tmp_path, roseab_file):
     ideal = tmp_path / "quat.ideal"
     ideal.write_text(QUAT_IDEAL)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from leavitt import ParseError, PrimeField, RationalField, parse_field
 from leavitt.errors import PreconditionError
 from leavitt.fields import _is_prime
-from leavitt.linalg import SpanEchelon
+from leavitt.linalg import SpanEchelon, encode
 
 
 def test_parse_field_tags():
@@ -131,7 +131,7 @@ def test_zero_and_one_are_shared_constants(field):
     assert field.zero is zero and field.one is one
     ech = SpanEchelon(field, lambda k: k)
     for row in ({0: one, 1: field.of(2)}, {1: field.of(3), 2: one}, {0: one}):
-        ech.insert(row)
-    assert ech.rank == 3 and not ech.reduce({2: field.of(4)})[0]
+        ech.insert(encode(field, row))
+    assert ech.rank == 3 and not ech.reduce(encode(field, {2: field.of(4)}))[0]
     assert field.zero is zero and field.one is one
     assert zero == field.of(0) and one == field.of(1)

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leavitt import (
     Path,
@@ -29,10 +30,11 @@ from leavitt import (
     quaternion_algebra,
     rangaswamy_module,
     simplicity_probe,
+    socle_filter,
     thue_morse_word,
 )
 from leavitt.errors import PreconditionError
-from leavitt.linalg import SpanEchelon, vec_add_into
+from leavitt.linalg import SpanEchelon, add_native, decode, encode
 from leavitt.probes import Closure, prefix_ops, span_closure
 
 from oracles import DenseSpan, dense_closure, paths_by_target, random_ghost_element
@@ -51,16 +53,15 @@ def test_span_echelon_tracks_combinations(q):
     ech = SpanEchelon(q, lambda k: k)
     raws = []
     for i in range(12):
-        vec = {
+        vec = encode(q, {
             rng.randrange(6): q.of(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))
-        }
-        vec = {k: c for k, c in vec.items() if c}
+        })
         raws.append(dict(vec))
-        rem, combo, piv = ech.insert(vec, {i: q.one})
+        rem, combo, piv = ech.insert(vec, {i: 1})
         # input = remainder + combination of earlier raw inserts
         recon = dict(rem)
         for j, c in combo.items():
-            vec_add_into(q, recon, raws[j], c)
+            add_native(recon, raws[j], c, 0)
         assert recon == raws[i]
         if piv is None:
             assert not rem
@@ -98,15 +99,23 @@ def _dot(field, row, vec):
     return total
 
 
+def _plus(field, a, b, scalar):
+    """a + scalar * b over field scalars."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, field.zero) + scalar * c
+    return {k: c for k, c in out.items() if c}
+
+
 @given(sparse_systems())
 def test_span_echelon_kernel_solves_the_system(system):
     field, n, rows, _, order = system
     ech = SpanEchelon(field, order.index)
     dense = DenseSpan(field)
     for row in rows:
-        ech.insert(row)
+        ech.insert(encode(field, row))
         dense.insert(row)
-    kernel = ech.kernel(list(range(n)))
+    kernel = [decode(field, z) for z in ech.kernel(list(range(n)))]
     assert ech.rank == dense.rank
     assert len(kernel) == n - ech.rank
     for z in kernel:
@@ -134,18 +143,19 @@ def test_span_echelon_agrees_with_dense_span(system, rng):
     other = SpanEchelon(field, order.index)
     dense = DenseSpan(field)
     for row in rows:
-        ech.insert(row)
+        ech.insert(encode(field, row))
         dense.insert(row)
     for row in shuffled:
-        other.insert(row)
+        other.insert(encode(field, row))
     assert ech.rank == other.rank == dense.rank
-    sums = [vec_add_into(field, dict(a), b, field.of(2)) for a, b in zip(rows, shuffled)]
+    sums = [_plus(field, a, b, field.of(2)) for a, b in zip(rows, shuffled)]
     for vec in probes + rows + sums:
-        rem, _ = ech.reduce(vec)
-        assert ech.contains(vec) == dense.member(vec) == (not rem)
+        native = encode(field, vec)
+        rem, _ = ech.reduce(native)
+        assert ech.contains(native) == dense.member(vec) == (not rem)
         assert not set(rem) & set(ech.rows)
-        assert rem == other.reduce(vec)[0]
-        assert dense.member(vec_add_into(field, dict(vec), rem, -field.one))
+        assert rem == other.reduce(native)[0]
+        assert dense.member(_plus(field, vec, decode(field, rem), -field.one))
 
 
 def handed_out(field, *vecs):
@@ -155,16 +165,27 @@ def handed_out(field, *vecs):
     return all(type(c) is kind and field.of(c) is c for vec in vecs for c in vec.values())
 
 
+def native_values(field, *vecs):
+    """Whether every value of vecs is a native value of field: an int
+    residue in [0, p) over GF(p), an int or a Fraction over Q; never a
+    float."""
+    p = field.characteristic
+    if p:
+        return all(type(c) is int and 0 <= c < p for vec in vecs for c in vec.values())
+    return all(type(c) in (int, Fraction) for vec in vecs for c in vec.values())
+
+
 @pytest.mark.parametrize("op", ["insert", "reduce", "contains", "insert tag"])
 def test_span_echelon_refuses_foreign_scalars(op):
+    # The kernel converts nothing; encode is where foreign scalars stop.
     gf7 = parse_field("gf:7")
     ech = SpanEchelon(gf7, lambda k: k)
-    ech.insert({0: gf7.one, 1: gf7.of(3)}, {"r": gf7.one})
+    ech.insert(encode(gf7, {0: gf7.one, 1: gf7.of(3)}), encode(gf7, {"r": gf7.one}))
 
     def call(coeff):
         if op == "insert tag":
-            return ech.insert({2: gf7.one}, {"s": coeff})
-        return getattr(ech, op)({1: gf7.one, 0: coeff})
+            return ech.insert(encode(gf7, {2: gf7.one}), encode(gf7, {"s": coeff}))
+        return getattr(ech, op)(encode(gf7, {1: gf7.one, 0: coeff}))
 
     with pytest.raises(TypeError):
         call(2)
@@ -173,17 +194,48 @@ def test_span_echelon_refuses_foreign_scalars(op):
     assert ech.rank == 1
 
 
+@pytest.mark.parametrize("entry", ["staircase generators", "closure contains", "ghost_apply"])
+def test_public_entry_points_refuse_foreign_scalars(roseab, entry):
+    gf7 = parse_field("gf:7")
+    M = mantese_module(roseab, gf7, "v", dict.fromkeys(loops(roseab, "a", "b"), gf7.one))
+    cl = Closure(prefix_ops(M, 3))
+    lab = M.generator_label
+
+    def call(coeff):
+        if entry == "staircase generators":
+            return SchreierStaircase(roseab, gf7, [{Path.vertex("v"): coeff}], 2)
+        if entry == "closure contains":
+            return cl.contains({lab: coeff})
+        return M.ghost_apply(loops(roseab, "a")[0], {lab: coeff})
+
+    for coeff in (2, 0.5):
+        with pytest.raises(TypeError):
+            call(coeff)
+    with pytest.raises(PreconditionError):
+        call(parse_field("gf:5").of(2))
+    assert cl.dim == 0
+
+
 @given(sparse_systems())
 def test_span_echelon_hands_out_field_scalars(system):
+    # The kernel hands out native values, and decode makes field scalars
+    # of them.
     field, n, rows, probes, order = system
     ech = SpanEchelon(field, order.index)
     for i, row in enumerate(rows):
-        rem, combo, _ = ech.insert(row, {i: field.one})
-        assert handed_out(field, rem, combo)
+        rem, combo, _ = ech.insert(encode(field, row), {i: 1})
+        assert native_values(field, rem, combo)
+        assert handed_out(field, decode(field, rem), decode(field, combo))
     for vec in probes + rows:
-        assert handed_out(field, *ech.reduce(vec))
-    assert handed_out(field, *ech.kernel(list(range(n))))
-    assert handed_out(field, *ech.rows.values(), *ech.tags.values())
+        reduced = ech.reduce(encode(field, vec))
+        assert native_values(field, *reduced)
+        assert handed_out(field, *(decode(field, v) for v in reduced))
+    kernel = ech.kernel(list(range(n)))
+    assert native_values(field, *kernel)
+    assert handed_out(field, *(decode(field, z) for z in kernel))
+    stored = [*ech.rows.values(), *ech.tags.values()]
+    assert native_values(field, *stored)
+    assert handed_out(field, *(decode(field, v) for v in stored))
 
 
 @st.composite
@@ -200,15 +252,15 @@ def test_span_echelon_over_q_stores_no_floats(rows):
     ech = SpanEchelon(q, lambda k: k)
     dense = DenseSpan(q)
     for i, row in enumerate(rows):
-        rem, combo, _ = ech.insert(row, {i: q.one})
+        rem, combo, _ = ech.insert(encode(q, row), {i: 1})
         dense.insert(row)
-        assert handed_out(q, rem, combo)
+        assert native_values(q, rem, combo)
     assert ech.rank == dense.rank
-    assert handed_out(q, *ech.rows.values(), *ech.tags.values())
-    assert all(ech.rows[p][p] == q.one for p in ech.rows)
-    assert handed_out(q, *ech.kernel(range(5)))
+    assert native_values(q, *ech.rows.values(), *ech.tags.values())
+    assert all(ech.rows[p][p] == 1 for p in ech.rows)
+    assert native_values(q, *ech.kernel(range(5)))
     with pytest.raises(TypeError):
-        ech.reduce({0: 0.5})
+        encode(q, {0: 0.5})
 
 
 @pytest.mark.parametrize("tag", ["q", "gf:7"])
@@ -253,6 +305,28 @@ def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
     assert calls == {"insert": 507, "reduce": 9}
     assert endomorphism_probe(st).dimension == 1
     assert calls == {"insert": 530, "reduce": 51}
+
+
+def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypatch):
+    # Pins the module side as the test above pins the staircase side, on
+    # the README weighted point module (mantese at v with a=1, b=1) at
+    # degree 4: the label actions and the echelon calls behind its
+    # commutant, the derived rules included.
+    from leavitt.representations import PrefixModule
+
+    calls = dict.fromkeys(["insert", "reduce", "act_vertex", "act_arrow", "act_ghost"], 0)
+    for name in calls:
+        cls = SpanEchelon if name in ("insert", "reduce") else PrefixModule
+
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    a, b = loops(roseab, "a", "b")
+    report = endomorphism_probe(mantese_module(roseab, q, "v", {a: q.one, b: q.one}), 4)
+    assert (report.dimension, report.table_closes, report.equations) == (1, True, 30)
+    assert calls == {"insert": 96, "reduce": 1, "act_vertex": 32, "act_arrow": 58, "act_ghost": 64}
 
 
 # -- closures ---------------------------------------------------------------------
@@ -545,6 +619,47 @@ def test_probes_hand_out_field_scalars(loopfam, abfam, roseab, tag):
     R = rangaswamy_module(loopfam, field, parse_path(loopfam, "a"), [field.of(-1), field.one])
     socle = ghost_socle(R, 2)
     assert socle and handed_out(field, *socle)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["q", "gf:5"]), st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_public_return_values_hold_field_scalars(roseab, abfam, loopfam, tag, coeffs):
+    # Inside, vectors are native ints and Fractions; every public return
+    # value must hold the field's own scalars again.
+    field = parse_field(tag)
+    w0, w1, w2, w3 = map(field.of, coeffs)
+    a, b = loops(roseab, "a", "b")
+    staircase = SchreierStaircase(roseab, field, [parse_element(roseab, field, t) for t in QUAT_GENS], 4)
+    ghost = {parse_path(roseab, "a.b.a"): w0, parse_path(roseab, "b"): w1, Path.vertex("v"): w2}
+    assert handed_out(field, staircase.reduce(ghost))
+    assert handed_out(field, *(g.terms for g in staircase.free_generators()))
+
+    M = mantese_module(roseab, field, "v", {a: w0, b: w1})
+    vec = dict(zip(M.labels(2), (w0, w1, w2, w3)))
+    pa, pb = parse_path(roseab, "a"), parse_path(roseab, "b.a")
+    element = parse_element(roseab, field, f"{coeffs[2]} a.b* - b + v")
+    outputs = [
+        M.vertex_apply("v", vec),
+        M.arrow_apply(a, vec),
+        M.ghost_apply(b, vec),
+        M.act_monomial(pa, pb, vec),
+        M.act_element(element, vec),
+        M.generator_vector(),
+        *M.rules.values(),
+        *socle_filter(M, [vec, M.ghost_apply(a, vec), {M.generator_label: w3}]),
+        *annihilator_staircase(M, vec, 3),
+    ]
+    assert M.rules and handed_out(field, *outputs)
+    R = rangaswamy_module(loopfam, field, parse_path(loopfam, "a"), [-field.one, field.one])
+    assert handed_out(field, *ghost_socle(R, 2))
+
+    for report in (endomorphism_probe(M, 4), endomorphism_probe(staircase)):
+        assert report.dimension and report.table_closes
+        cells = [report.unit_coords, *report.table.values()]
+        assert handed_out(field, *report.basis, *(dict(enumerate(cell)) for cell in cells))
+    ea, eb = loops(abfam, "a", "b")
+    simplicity = simplicity_probe(linear_example_module(abfam, field, ea, eb, "linear"), 3)
+    assert handed_out(field, simplicity["witness"])
 
 
 def test_composition_probe_rejects_nonstrict_chain(loopfam, q):
