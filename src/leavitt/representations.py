@@ -5,8 +5,9 @@ Every module here is presented the same way: basis labels are pairs
 mu applied to the slot vector.  Real arrows prepend to mu, ghost arrows
 strip the first arrow of mu, and what the ghost arrows do to bare slots
 is what distinguishes the constructions; the labels identified away
-follow from it through the summation relation.  Vectors over the basis
-are plain dicts from labels to scalars.
+follow from it through the summation relation, which rational Chen
+modules, quotients of induced modules, impose on every slot; generator
+backed words keep offset hooks.  Vectors are dicts from labels to scalars.
 
 Every public method takes and returns vectors of field scalars.  Inside,
 the label level operators (act_vertex, act_arrow, act_ghost, slot_ghost,
@@ -34,14 +35,20 @@ class PrefixModule:
     scalars over labels; a missing entry is the zero image.  Real arrows
     prepend freely, and the only identifications are the summation
     relation at the regular vertices not listed under the ck2_exempt
-    metadata, which rules derives from the two tables.  Every rewrite
-    replaces a label by labels smaller under label_sort_key, and
-    prepending a path keeps that order, so canonicalization terminates.
+    metadata, which rules derives from the two tables.  A class that sets
+    quotient imposes the relation on every slot, at infinite emitters too,
+    and so presents a quotient of the induced module.  rewrite_step reads
+    the rules: it gives the labels an identified label rewrites to, and
+    None for a legal label.  Every rewrite replaces a label by labels
+    smaller under label_sort_key, and prepending a path keeps that order,
+    so canonicalization terminates.
 
     The label operators work on native values, so the ghost table is
     encoded once, into a cached native table, the first time it is used;
     rules, like every public vector method, holds field scalars.
     """
+
+    quotient = False
 
     def __init__(self, graph, field, family_cap=2):
         self.graph = graph
@@ -85,13 +92,14 @@ class PrefixModule:
     def rules(self):
         """Each identified label with the vector it rewrites to.
 
-        At a regular vertex u the summation relation makes every slot w
-        based at u equal to its image, the sum over arrows e leaving u of
-        e applied to e* w.  The images go into one echelon keyed by
-        label_sort_key and tagged with their slots.  Each pivot label is
-        identified with its row's tag, bare slots at u, minus the row's
-        tail.  The pivot set of a span does not depend on the insertion
-        order, so the rules are canonical.
+        At a regular vertex u, and at every vertex of a quotient module,
+        the summation relation makes every slot w based at u equal to its
+        image, the sum over its ghost entries (e, w) of e applied to e* w.
+        The images go into one echelon keyed by label_sort_key and tagged
+        with their slots.  Each pivot label is identified with its row's
+        tag, bare slots at u, minus the row's tail.  The pivot set of a
+        span does not depend on the insertion order, so the rules are
+        canonical.
         """
         return {label: decode(self.field, rhs) for label, rhs in self._rules.items()}
 
@@ -99,21 +107,17 @@ class PrefixModule:
     def _rules(self):
         # The rules over native values.
         exempt = set(self.metadata.get("ck2_exempt", ()))
+        images = {w: {} for w in self.slots}
+        for (e, w), img in self._ghost.items():
+            images[w].update(((mu.prepend(e), s), c) for (mu, s), c in img.items())
         ech = SpanEchelon(self.field, self.label_sort_key)
         for u in self.graph.vertices:
-            if u in exempt or self.graph.classify_vertex(u) != "regular":
+            if u in exempt or not (self.quotient or self.graph.is_regular(u)):
                 continue
             for w, (base, name, _) in self.slots.items():
-                if base != u:
-                    continue
-                image = {
-                    (mu.prepend(e), s): c
-                    for e in self.graph.out_arrows(u)
-                    for (mu, s), c in self._ghost.get((e, w), {}).items()
-                }
-                if ech.insert(image, {self.bare(w): 1})[2] is None:
+                if base == u and ech.insert(images[w], {self.bare(w): 1})[2] is None:
                     raise PreconditionError(
-                        f"the slot images at regular vertex {u} are dependent, "
+                        f"the slot images at vertex {u} are dependent, "
                         f"so the summation relation collapses {name}"
                     )
         rules = {}
@@ -145,39 +149,30 @@ class PrefixModule:
         Probes use this to turn windowed span checks into certificates."""
         return not self._rules
 
-    def excluded(self, mu, slot):
-        table, lengths = self._suffixes
-        arrows = mu.arrows
-        for k in lengths:
-            if (arrows[-k:], slot) in table:
-                return True
-        return False
-
     def rewrite_step(self, mu, slot):
+        """The (path, slot, scalar) terms of one rewrite, or None if legal."""
         table, lengths = self._suffixes
         for k in lengths:
             rhs = table.get((mu.arrows[-k:], slot))
             if rhs is not None:
-                break
-        else:
-            raise PreconditionError(f"{self.label_str((mu, slot))} is not identified")
-        nu = mu
-        for _ in range(k):
-            nu = nu.drop_last()
-        return [(nu if p.is_vertex else nu.concat(p), s, c) for (p, s), c in rhs.items()]
+                nu = mu
+                for _ in range(k):
+                    nu = nu.drop_last()
+                return [(nu if p.is_vertex else nu.concat(p), s, c) for (p, s), c in rhs.items()]
+        return None
 
     # labels ---------------------------------------------------------------
 
     def degree(self, label):
         mu, slot = label
-        return len(mu) + self.slot_degree(slot)
+        return len(mu.arrows) + self.slot_degree(slot)
 
     def base_vertex(self, label):
         return label[0].source
 
     def label_sort_key(self, label):
         mu, slot = label
-        return (self.degree(label), self.slot_rank(slot), len(mu), mu.key, mu.source)
+        return (self.degree(label), self.slot_rank(slot), len(mu.arrows), mu.key, mu.source)
 
     def label_str(self, label):
         mu, slot = label
@@ -187,7 +182,8 @@ class PrefixModule:
 
     def canonical_into(self, acc, mu, slot, coeff):
         """Accumulate coeff times the class of (mu, slot) over legal labels."""
-        if mu.is_vertex or not self.excluded(mu, slot):
+        steps = None if mu.is_vertex else self.rewrite_step(mu, slot)
+        if steps is None:
             label = (mu, slot)
             val = acc.get(label, 0) + coeff
             if self._p:
@@ -197,7 +193,7 @@ class PrefixModule:
             else:
                 acc.pop(label, None)
             return acc
-        for mu2, slot2, scalar in self.rewrite_step(mu, slot):
+        for mu2, slot2, scalar in steps:
             self.canonical_into(acc, mu2, slot2, coeff * scalar)
         return acc
 
@@ -220,7 +216,7 @@ class PrefixModule:
                         mu2 = mu.prepend(a)
                         # Identified labels and everything built on top of
                         # them are enumerated through their rewrites instead.
-                        if not self.excluded(mu2, slot):
+                        if self.rewrite_step(mu2, slot) is None:
                             nxt.append(mu2)
                 out.extend((mu, slot) for mu in nxt)
                 frontier = nxt
@@ -373,92 +369,93 @@ def verify_representation(space, max_degree):
 
 
 class ChenModule(PrefixModule):
-    """The module of infinite paths sharing a tail with a given word.
+    """The module of infinite paths sharing a tail with an eventually
+    periodic word, Chen's simple quotient of an induced module.
 
-    Labels are words in normal form.  For an eventually periodic word the
-    slots are the rotations of the primitive cycle; for a generator backed
-    word the slots are the shift offsets into the generator, and labeling
-    is faithful when the generator is registered aperiodic.  The slots of
-    a generator backed word grow with the degree, and the word identifies
-    at non-regular vertices too, so Chen modules keep their own hooks.
+    Labels are words in normal form.  The slots are the rotations of the
+    primitive cycle, and the ghost of a rotation's first arrow moves it to
+    the next rotation.  The module induced from that bottom layer is not
+    simple where the cycle passes an infinite emitter, so the class sets
+    quotient: the summation relation holds on every slot, and rules
+    identifies every label ending in the letter before its rotation.
     """
+
+    quotient = True
+
+    def __init__(self, graph, field, word, family_cap=2):
+        super().__init__(graph, field, family_cap)
+        if not isinstance(word.tail, CycleTail):
+            raise PreconditionError("ChenModule takes eventually periodic words; use chen_module")
+        self.word = word
+        c = word.tail.cycle.arrows
+        n = len(c)
+        self.slots = {
+            ("rot", j): (c[j].source, f"({Path.of_arrows(c[j:] + c[:j])})^w", j) for j in range(n)
+        }
+        self.ghost = {(c[j], ("rot", j)): {self.bare(("rot", (j + 1) % n)): field.one} for j in range(n)}
+        self.generator_label = (word.prefix, ("rot", 0))
+        self.metadata = {"kind": "chen", "word": str(word), "rational": True}
+
+
+class _GeneratorChenModule(PrefixModule):
+    """The Chen module of a generator backed word.
+
+    The slots are the shift offsets into the generator, and labeling is
+    faithful when the generator is registered aperiodic.  Slot k has
+    degree k, so the slots grow with the degree and no finite slot table
+    fits them: the module keeps the offset hooks, and each offset
+    identifies the labels ending in the letter before it.
+    """
+
+    free_prepend = False
 
     def __init__(self, graph, field, word, family_cap=2):
         super().__init__(graph, field, family_cap)
         self.word = word
-        self.cycle_slots = None
-        if isinstance(word.tail, CycleTail):
-            c = word.tail.cycle.arrows
-            self.cycle_slots = [Path.of_arrows(c[j:] + c[:j]) for j in range(len(c))]
-            self.generator_label = (word.prefix, ("rot", 0))
-        else:
-            self.tail = word.tail
-            self.generator_label = (word.prefix, ("off", word.tail.offset))
-        self.metadata = {
-            "kind": "chen",
-            "word": str(word),
-            "rational": self.cycle_slots is not None,
-        }
+        self.tail = word.tail
+        self.generator_label = (word.prefix, ("off", word.tail.offset))
+        self.metadata = {"kind": "chen", "word": str(word), "rational": False}
 
     @property
-    def free_prepend(self):
-        # Every label ending in the word's letter before its slot is identified.
-        return False
+    def _rules(self):
+        raise PreconditionError(
+            "a generator backed word identifies one label per offset, without bound, "
+            "so its rules are not finite"
+        )
 
     def slot_list(self, max_degree):
-        if self.cycle_slots is not None:
-            return [("rot", j) for j in range(len(self.cycle_slots))]
         return [("off", k) for k in range(max_degree + 1)]
 
     def slot_base(self, slot):
-        kind, j = slot
-        if kind == "rot":
-            return self.cycle_slots[j].source
-        return self.tail.fn(j).source
+        return self.tail.fn(slot[1]).source
 
     def slot_degree(self, slot):
-        kind, j = slot
-        return 0 if kind == "rot" else j
+        return slot[1]
 
     def slot_rank(self, slot):
         return slot[1]
 
     def slot_name(self, slot):
-        kind, j = slot
-        if kind == "rot":
-            return f"({self.cycle_slots[j]})^w"
-        return f"{self.tail.name}@{j}" if j else self.tail.name
+        return f"{self.tail.name}@{slot[1]}" if slot[1] else self.tail.name
 
     def slot_ghost(self, arrow, slot):
-        kind, j = slot
-        if kind == "rot":
-            if arrow == self.cycle_slots[j].arrows[0]:
-                return {self.bare(("rot", (j + 1) % len(self.cycle_slots))): 1}
-            return {}
-        if arrow == self.tail.fn(j):
-            return {self.bare(("off", j + 1)): 1}
-        return {}
-
-    def excluded(self, mu, slot):
-        kind, j = slot
-        if kind == "rot":
-            return mu.arrows[-1] == self.cycle_slots[j].arrows[-1]
-        return j > 0 and mu.arrows[-1] == self.tail.fn(j - 1)
+        return {self.bare(("off", slot[1] + 1)): 1} if arrow == self.tail.fn(slot[1]) else {}
 
     def rewrite_step(self, mu, slot):
-        kind, j = slot
-        if kind == "rot":
-            prev = (j - 1) % len(self.cycle_slots)
-            return [(mu.drop_last(), ("rot", prev), 1)]
-        return [(mu.drop_last(), ("off", j - 1), 1)]
+        j = slot[1]
+        if j and mu.arrows[-1] == self.tail.fn(j - 1):
+            return [(mu.drop_last(), ("off", j - 1), 1)]
+        return None
 
 
 def chen_module(graph, field, word, family_cap=2):
-    if not isinstance(word.tail, CycleTail) and not word.tail.aperiodic:
+    if isinstance(word.tail, CycleTail):
+        return ChenModule(graph, field, word, family_cap)
+    if not word.tail.aperiodic:
         raise PreconditionError(
             "generator backed words must be registered aperiodic for labels to be faithful"
         )
-    return ChenModule(graph, field, word, family_cap)
+    return _GeneratorChenModule(graph, field, word, family_cap)
 
 
 class CohnJacobsonModule(PrefixModule):

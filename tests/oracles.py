@@ -110,7 +110,7 @@ def dense_ghost_span(graph, field, generators, degree, family_cap=2):
 
 
 def dense_closure(space, seeds, window):
-    """Dimension and overflow flag of the windowed closure of seeds.
+    """The DenseSpan and overflow flag of the windowed closure of seeds.
 
     The walk uses only the module's vector actions, vertex_apply,
     arrow_apply and ghost_apply, over the field's own scalars, and a
@@ -138,7 +138,7 @@ def dense_closure(space, seeds, window):
             img = act(arg, vec)
             if span.insert(img):
                 queue.append(img)
-    return span.rank, overflowed
+    return span, overflowed
 
 
 # -- pairwise Cohn products ------------------------------------------------------

@@ -324,6 +324,22 @@ def test_module_simplicity_verdict(rose2_file):
     assert report["seed"] == "0"
 
 
+def test_induced_module_and_chen_quotient_at_an_infinite_emitter(loopfam_file):
+    # The Rangaswamy module of a with q = x - 1 is induced from Chen's bottom
+    # layer for (a)^w at the infinite emitter v: it is not simple, and the
+    # relation h0 = a.(a* h0) that Chen's quotient imposes is the witness.
+    module = ["module", "--graph", loopfam_file]
+    probe = ["--probe", "simplicity", "--degree", "4"]
+    code, out, _ = run_cli(module + ["rangaswamy", "--period", "a", "--poly", "1,-1"] + probe)
+    assert code == 0
+    report = lines_of(out)
+    assert report["verdict"] == "proper_submodule"
+    assert report["witness"] == "-h0 + a.h0"
+    code, out, _ = run_cli(module + ["chen", "--word", "rational:a"] + probe)
+    assert code == 0
+    assert lines_of(out)["verdict"] == "witnessed_simple_up_to"
+
+
 # -- README examples ------------------------------------------------------------------
 
 HERE = os.path.dirname(os.path.abspath(__file__))

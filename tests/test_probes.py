@@ -264,12 +264,14 @@ def test_span_echelon_over_q_stores_no_floats(rows):
 
 
 @pytest.mark.parametrize("tag", ["q", "gf:7"])
-def test_derived_rules_hold_field_scalars(rose2, roseab, tag):
+def test_derived_rules_hold_field_scalars(rose2, roseab, abfam, tag):
     field = parse_field(tag)
     a, b = loops(roseab, "a", "b")
     modules = (
         rangaswamy_module(rose2, field, parse_path(rose2, "x1.x2"), [field.of(2), field.zero, field.one]),
         mantese_module(roseab, field, "v", {a: field.one, b: field.of(2)}),
+        chen_module(rose2, field, periodic_word(parse_path(rose2, "x1.x2"))),
+        chen_module(abfam, field, periodic_word(parse_path(abfam, "b.a.a"))),
     )
     for M in modules:
         assert M.rules
@@ -571,7 +573,8 @@ def test_closures_match_dense_closures_over_both_fields(loopfam, abfam, roseab, 
     for name, M in cases:
         seeds = chain_candidates(M)
         cl = span_closure(prefix_ops(M, window), seeds)
-        assert (cl.dim, cl.overflowed) == dense_closure(M, seeds, window), name
+        dense, overflowed = dense_closure(M, seeds, window)
+        assert (cl.dim, cl.overflowed) == (dense.rank, overflowed), name
 
 
 def test_endomorphism_dimensions_agree_over_both_fields(roseab):

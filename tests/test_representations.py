@@ -2,11 +2,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from leavitt import (
+    CycleTail,
+    InfiniteWord,
     Path,
     PrefixModule,
     SchreierStaircase,
     chen_module,
     cohn_jacobson_module,
+    cyclic_submodule,
     field_extension,
     hilbert_module,
     is_irreducible,
@@ -28,8 +31,10 @@ from leavitt import (
     verify_representation,
 )
 from leavitt.errors import PreconditionError
+from leavitt.linalg import encode
 
 from conftest import ROSE3, SINK3
+from oracles import dense_closure
 
 
 def loops(graph, *names):
@@ -93,6 +98,120 @@ def test_chen_thue_morse(rose2, q):
     assert len(shifted) == 1
     assert M.ghost_apply(x1, shifted) == {}
     assert_verifies(M, 4)
+    # each offset identifies labels, without bound, so no finite rules exist
+    with pytest.raises(PreconditionError, match="without bound"):
+        M.rules
+    assert not M.free_prepend
+
+
+def chen_word(M, label):
+    """The infinite word that the Chen label (mu, slot) stands for."""
+    mu, (kind, j) = label
+    tail = M.word.tail
+    if kind == "rot":
+        c = tail.cycle.arrows
+        return InfiniteWord(mu, CycleTail(Path.of_arrows(c[j:] + c[:j])))
+    return InfiniteWord(mu, tail.shifted(j - tail.offset))
+
+
+def build_word(graph, spec):
+    kind, _, rest = spec.partition(":")
+    if kind == "rational":
+        return periodic_word(parse_path(graph, rest))
+    return thue_morse_word(graph, *loops(graph, *rest.split(",")))
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:5"])
+@pytest.mark.parametrize(
+    "graph_name, spec, degree",
+    [
+        ("rose2", "rational:x1.x2", 5),
+        ("rose2", "tm:x1,x2", 5),
+        ("sink3", "rational:e.g", 5),
+        ("loopfam", "rational:a", 5),
+        ("loopfam", "tm:a,f[0]", 5),
+        ("abfam", "rational:a.b", 4),
+        ("abfam", "tm:a,b", 4),
+    ],
+)
+def test_chen_actions_match_the_word_oracle(request, graph_name, spec, degree, tag):
+    # Each label stands for one infinite word: real arrows prepend to it,
+    # and a ghost arrow shifts it when it is the word's first letter and
+    # kills it otherwise.
+    graph, field = request.getfixturevalue(graph_name), parse_field(tag)
+    word = build_word(graph, spec)
+    M = chen_module(graph, field, word)
+    words = {label: chen_word(M, label) for label in M.labels(degree)}
+    assert len(set(words.values())) == len(words)
+    assert words[M.generator_label] == word
+
+    def single(vec):
+        [(label, coeff)] = vec.items()
+        assert coeff == field.one
+        return chen_word(M, label)
+
+    for label, w in words.items():
+        vec = {label: field.one}
+        for e in M.active_arrows():
+            got = M.arrow_apply(e, vec)
+            if e.target == w.source:
+                assert single(got) == w.prepend(e)
+            else:
+                assert got == {}
+            got = M.ghost_apply(e, vec)
+            if w.arrow_at(0) == e:
+                assert single(got) == w.shift(1)
+            else:
+                assert got == {}
+
+
+def test_chen_rules_are_derived(rose2, roseinf, q):
+    M = chen_module(rose2, q, periodic_word(parse_path(rose2, "x1.x2")))
+    assert M.rules == {
+        (parse_path(rose2, "x1"), ("rot", 1)): labeled(rose2, {("v", ("rot", 0)): q.one}),
+        (parse_path(rose2, "x2"), ("rot", 0)): labeled(rose2, {("v", ("rot", 1)): q.one}),
+    }
+    # f[3] lies past the family cap, and its rule still holds: the image is
+    # read from the slot's own ghost entries
+    f3 = parse_path(roseinf, "f[3]")
+    M = chen_module(roseinf, q, periodic_word(f3))
+    assert M.rules == {(f3, ("rot", 0)): {M.bare(("rot", 0)): q.one}}
+    assert M.vector_str(M.arrow_apply(f3.arrows[0], M.generator_vector())) == "(f[3])^w"
+
+
+def test_rangaswamy_at_an_infinite_emitter_is_induced_from_chen(loopfam, q):
+    # a* fixes h0, which is Chen's bottom layer for (a)^w.  Nothing is
+    # identified at the infinite emitter v, so R is the induced module, and
+    # Chen's module is its quotient: the map sending (mu, h0) to the normal
+    # form of mu.(a)^w is a module map onto Chen's labels.
+    a = parse_path(loopfam, "a")
+    R = rangaswamy_module(loopfam, q, a, [q.of(-1), q.one])
+    M = chen_module(loopfam, q, periodic_word(a))
+    assert R.rules == {}
+
+    def phi(vec):
+        out = {}
+        for (mu, _), coeff in vec.items():
+            M.canonical_into(out, mu, ("rot", 0), coeff)
+        return out
+
+    actions = [(R.act_vertex, M.act_vertex, v) for v in loopfam.vertices]
+    for e in R.active_arrows():
+        actions += [(R.act_arrow, M.act_arrow, e), (R.act_ghost, M.act_ghost, e)]
+    for label in R.labels(4):
+        for act_r, act_m, arg in actions:
+            assert phi(R._apply(act_r, arg, {label: 1})) == M._apply(act_m, arg, phi({label: 1}))
+    induced = R.labels(5)
+    image = {lab for label in induced for lab in phi({label: 1})}
+    assert (len(induced), len(image)) == (364, 243)
+    assert image == set(M.labels(5))
+    # h0 - a.h0 spans the kernel's first layer, and its submodule misses h0
+    rel = {R.bare(0): q.one, (a, 0): -q.one}
+    assert phi(encode(q, rel)) == {}
+    gen = R.generator_vector()
+    assert not cyclic_submodule(R, [rel], 5).contains(gen)
+    dense, _ = dense_closure(R, [rel], 5)
+    assert dense.rank and not dense.member(gen)
 
 
 # -- boundary modules --------------------------------------------------------------
@@ -163,7 +282,7 @@ def test_rangaswamy_regular_junction_wraps(rose2, q):
     assert not M.free_prepend
     # prepending the period is excluded and rewrites into the wrap
     mu = Path.of_arrows((x1,))
-    assert M.excluded(mu, 0)
+    assert M.rewrite_step(mu, 0) is not None
     canon = M.canonical_into({}, mu, 0, q.one)
     assert canon == gen
     assert_verifies(M, 4)
@@ -401,8 +520,8 @@ def test_nested_identified_labels_are_rejected(rose2, q):
         (x2, "t"): labeled(rose2, {("v", "s"): q.one}),
     }
     assert set(M.rules) == {(parse_path(rose2, "x1.x1"), "t"), (parse_path(rose2, "x2"), "s")}
-    assert not M.excluded(parse_path(rose2, "x1"), "t")
-    assert M.excluded(parse_path(rose2, "x2.x1.x1"), "t")
+    assert M.rewrite_step(parse_path(rose2, "x1"), "t") is None
+    assert M.rewrite_step(parse_path(rose2, "x2.x1.x1"), "t") is not None
     # the pivot x1.x1.x1.s ends in the pivot x1.s
     M = PrefixModule(rose2, q)
     M.slots = {"s": ("v", "s", 0), "t": ("v", "t", 1)}
@@ -411,7 +530,7 @@ def test_nested_identified_labels_are_rejected(rose2, q):
         (x1, "t"): labeled(rose2, {("v", "s"): q.one}),
     }
     with pytest.raises(PreconditionError, match="ends in another"):
-        M.excluded(parse_path(rose2, "x1"), "s")
+        M.rewrite_step(parse_path(rose2, "x1"), "s")
 
 
 GF7 = parse_field("gf:7")
