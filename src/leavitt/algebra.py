@@ -11,6 +11,7 @@ import re
 
 from .digraph import Path, path_sort_key
 from .errors import ParseError, PreconditionError
+from .fields import add_into, signed_sum
 
 
 class Element:
@@ -66,12 +67,6 @@ class Element:
         return Element(graph, field, {(Path.vertex(path.target), path): field.one})
 
     @staticmethod
-    def monomial(graph, field, alpha, beta, coeff=None):
-        if coeff is None:
-            coeff = field.one
-        return Element(graph, field, {(alpha, beta): coeff})
-
-    @staticmethod
     def unit(graph, field):
         """The sum of all vertex idempotents."""
         vertices = map(Path.vertex, graph.vertices)
@@ -85,7 +80,7 @@ class Element:
 
     def __add__(self, other):
         self._compatible(other)
-        terms = _add_into(self.field, dict(self.terms), other.terms, self.field.one)
+        terms = add_into(self.field, dict(self.terms), other.terms, self.field.one)
         return Element._trusted(self.graph, self.field, terms)
 
     def __neg__(self):
@@ -165,28 +160,11 @@ class Element:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         keyed = sorted(self.terms.items(), key=lambda item: _mono_sort_key(item[0]))
-        pieces = []
-        for i, (mono, coeff) in enumerate(keyed):
-            text = _format_term(mono, coeff, lead=(i == 0))
-            pieces.append(text)
-        return " ".join(pieces)
+        return signed_sum((coeff, mono_str(mono)) for mono, coeff in keyed)
 
     def __repr__(self):
         return f"Element({self})"
-
-
-def _add_into(field, acc, vec, scalar):
-    """acc += scalar * vec over field scalars, dropping keys that cancel."""
-    for key, coeff in vec.items():
-        val = acc.get(key, field.zero) + coeff * scalar
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def _mono_product(a1, b1, a2, b2):
@@ -263,21 +241,6 @@ def mono_str(mono):
     if not pieces:
         return alpha.source
     return ".".join(pieces)
-
-
-def _format_term(mono, coeff, lead):
-    sign = ""
-    body = str(coeff)
-    if body.startswith("-"):
-        sign, body = "-", body[1:]
-    word = mono_str(mono)
-    if body == "1":
-        text = word
-    else:
-        text = f"{body} {word}"
-    if lead:
-        return f"-{text}" if sign else text
-    return f"- {text}" if sign else f"+ {text}"
 
 
 # -- the Leavitt normal form ------------------------------------------------
@@ -409,7 +372,7 @@ class _ExprParser:
             sign = -one if self.take()[1] == "-" else one
         while True:
             element, coeff = self.term()
-            _add_into(self.field, terms, element.terms, coeff * sign)
+            add_into(self.field, terms, element.terms, coeff * sign)
             if self.pos >= len(self.tokens):
                 return Element(self.graph, self.field, terms)
             kind, val = self.take()

@@ -111,10 +111,7 @@ def _default_vertex(graph, at):
 
 def _parse_ideal(graph, field, text):
     """Generator list: comma or newline separated expressions, # comments."""
-    chunks = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        chunks.append(line.replace("[", " ").replace("]", " "))
+    chunks = [line.split("#", 1)[0] for line in text.splitlines()]
     generators = []
     for piece in ",".join(chunks).split(","):
         piece = piece.strip()

@@ -322,11 +322,9 @@ class DiGraph:
         return self._out[v] or None
 
     def all_arrows(self, family_cap=0):
-        out = list(self._arrows.values())
-        for fam, (src, tgt) in self._families.items():
-            out.extend(Arrow(fam, src, tgt, j) for j in range(family_cap))
-        out.sort(key=lambda a: a.key)
-        return out
+        """The arrows leaving every vertex, as out_arrows gives them, sorted."""
+        out = [a for v in self._vertices for a in self.out_arrows(v, family_cap)]
+        return sorted(out, key=lambda a: a.key)
 
     # -- path enumeration ---------------------------------------------
 

@@ -10,6 +10,7 @@ inside a staircase computation.
 from math import gcd, isqrt
 
 from .errors import ParseError, PreconditionError
+from .fields import add_into
 
 
 class AlgebraElement:
@@ -23,13 +24,8 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._compatible(other)
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            acc = out.get(k, self.algebra.field.zero) + v
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
+        field = self.algebra.field
+        out = add_into(field, dict(self.coords), other.coords, field.one)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -40,15 +36,10 @@ class AlgebraElement:
 
     def __mul__(self, other):
         self._compatible(other)
-        out = {}
+        field, table, out = self.algebra.field, self.algebra.table, {}
         for k1, v1 in self.coords.items():
             for k2, v2 in other.coords.items():
-                for k3, s in self.algebra.table[(k1, k2)].items():
-                    acc = out.get(k3, self.algebra.field.zero) + v1 * v2 * s
-                    if acc:
-                        out[k3] = acc
-                    else:
-                        out.pop(k3, None)
+                add_into(field, out, table[(k1, k2)], v1 * v2)
         return AlgebraElement(self.algebra, out)
 
     def scale(self, scalar):
@@ -390,31 +381,19 @@ def field_extension(field, coeffs):
     coeffs = check_poly(field, coeffs, monic=True)
     deg = len(coeffs) - 1
     labels = ["1"] + [f"x{i}" if i > 1 else "x" for i in range(1, deg)]
-
-    def power(i):
-        # x^i reduced mod q, as a coordinate dict over labels.
-        vec = {j: field.zero for j in range(deg)}
-        if i < deg:
-            vec[i] = field.one
-            return vec
-        lower = power(i - 1)
-        out = {j: field.zero for j in range(deg)}
-        # Multiply by x: shift, then reduce x^deg = -(c0 + ... + c_{deg-1}x^{deg-1}).
-        carry = lower[deg - 1]
-        for j in range(deg - 1, 0, -1):
-            out[j] = lower[j - 1]
-        out[0] = field.zero
-        if carry:
-            for j in range(deg):
-                out[j] = out[j] - carry * coeffs[j]
-        return out
-
+    # x^0, ..., x^(2deg-2) reduced mod q as coordinate lists, each from the
+    # one before: multiply by x, a shift, then reduce
+    # x^deg = -(c0 + ... + c_{deg-1}x^{deg-1}).
+    powers = [[field.one] + [field.zero] * (deg - 1)]
+    for _ in range(2 * deg - 2):
+        carry = powers[-1][-1]
+        shifted = [field.zero] + powers[-1][:-1]
+        powers.append([s - carry * c for s, c in zip(shifted, coeffs)] if carry else shifted)
     table = {}
     for i in range(deg):
         for j in range(deg):
-            vec = power(i + j)
             table[(labels[i], labels[j])] = {
-                labels[k]: vec[k] for k in range(deg) if vec[k]
+                labels[k]: c for k, c in enumerate(powers[i + j]) if c
             }
     name = "ext(" + ",".join(str(c) for c in coeffs) + ")"
     alg = StructureAlgebra(field, labels, "1", table, name=name)

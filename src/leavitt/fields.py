@@ -14,6 +14,9 @@ residue in [0, p); over Q it is an int while integral and a Fraction
 otherwise.  ``native`` keeps the same-field contract for every public entry
 point: a value of any other type, a float included, raises TypeError, and
 a GF scalar of another modulus raises PreconditionError.
+
+The layers that work on field scalars rather than native values share two
+helpers: add_into accumulates a scaled vector, and signed_sum prints one.
 """
 
 from fractions import Fraction
@@ -208,6 +211,36 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def add_into(field, acc, vec, scalar):
+    """acc += scalar * vec over field scalars, dropping keys that cancel."""
+    for key, coeff in vec.items():
+        val = acc.get(key, field.zero) + coeff * scalar
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def signed_sum(terms):
+    """Print (scalar, word) pairs as "w1 - 2 w2 + w3", or "0" when empty.
+
+    A unit coefficient is left out, and a negative one becomes the sign.
+    """
+    pieces = []
+    for coeff, word in terms:
+        body = str(coeff)
+        neg = body.startswith("-")
+        if neg:
+            body = body[1:]
+        text = word if body == "1" else f"{body} {word}"
+        if pieces:
+            pieces.append(f"- {text}" if neg else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if neg else text)
+    return " ".join(pieces) or "0"
 
 
 def parse_field(text):

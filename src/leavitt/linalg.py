@@ -145,6 +145,20 @@ class SpanEchelon:
                 self.tags[pivot] = self._scaled(rtag, inv)
         return rem, combo, pivot
 
+    def relation(self, vec, key):
+        """Insert vec tagged {key: 1}; None when it adds a pivot.
+
+        Otherwise vec lies in the span of the earlier tagged inserts, and
+        the result is the native relation {key: 1} - combo over their tags,
+        whose combination of the inserted vectors is zero.
+        """
+        _, combo, pivot = self.insert(vec, {key: 1})
+        if pivot is not None:
+            return None
+        rel = {key: 1}
+        add_native(rel, combo, -1, self._p)
+        return rel
+
     def contains(self, vec):
         rem, _ = self.reduce(vec)
         return not rem

@@ -21,6 +21,7 @@ from collections import deque
 
 from .digraph import Path, ghost_sort_key
 from .errors import PreconditionError
+from .fields import add_into
 from .linalg import SpanEchelon, add_native, decode, encode
 from .schreier import SchreierStaircase, element_to_ghost
 
@@ -281,11 +282,11 @@ def socle_filter(space, vectors):
         for a in arrows:
             for lab, c in space._apply(space.act_ghost, a, vec).items():
                 stacked[(a, lab)] = c
-        _, combo, piv = ech.insert(stacked, {i: 1})
-        if piv is None:
-            found = dict(vec)
-            for j, c in combo.items():
-                add_native(found, vectors[j], -c, p)
+        rel = ech.relation(stacked, i)
+        if rel is not None:
+            found = {}
+            for j, c in rel.items():
+                add_native(found, vectors[j], c, p)
             if found:
                 out.append(decode(field, found))
     return out
@@ -471,9 +472,7 @@ class EndomorphismReport:
                 cell = self.table.get((i, j))
                 if cell is None:
                     return None
-                for k, c in enumerate(cell):
-                    if c:
-                        out[k] = out.get(k, self.field.zero) + a * b * c
+                add_into(self.field, out, dict(enumerate(cell)), a * b)
         return tuple(out.get(k, self.field.zero) for k in range(self.dimension))
 
 
@@ -488,17 +487,25 @@ def endomorphism_probe(target, degree=None):
     observable, and the reported dimension is an upper bound that is
     reliable once two consecutive degrees agree.  The report carries the
     solution space, the composition table over its basis, and honest
-    flags for window overflow.
+    flags for window overflow.  A degree that leaves the generator itself
+    outside that range, so that not even the identity could be found,
+    raises PreconditionError.
     """
     if isinstance(target, SchreierStaircase):
-        vdeg = (target.degree if degree is None else degree) - 1
+        degree = target.degree if degree is None else degree
         mod = staircase_ops(target)
-        variables = [p for p in target.coset_basis() if len(p) <= vdeg]
+        variables = [p for p in target.coset_basis() if len(p) < degree]
+    elif degree is None:
+        raise PreconditionError("an endomorphism probe needs a degree")
     else:
-        if degree is None:
-            raise PreconditionError("an endomorphism probe needs a degree")
         mod = prefix_ops(target, degree)
         variables = target.labels(degree - 1)
+    gen_deg = max(map(mod.degree_of, mod.generator))
+    if degree <= gen_deg:
+        raise PreconditionError(
+            f"the generator has degree {gen_deg}, so an endomorphism probe "
+            f"needs degree at least {gen_deg + 1}, not {degree}"
+        )
     field = mod.field
     p = field.characteristic
     var_index = {v: i for i, v in enumerate(variables)}
@@ -519,25 +526,25 @@ def endomorphism_probe(target, degree=None):
                 overflow = True
                 continue
             sym_img = None if sym_i is None else _sym_apply(fn, sym_i, p)
-            _, combo, piv = ech.insert(img, {len(rows): 1})
-            if piv is not None:
+            new = len(rows)
+            rel = ech.relation(img, new)
+            if rel is None:
                 rows.append(img)
                 syms.append(sym_img)
-                queue.append(len(rows) - 1)
+                queue.append(new)
                 continue
-            if sym_img is None:
+            # The equation is the sum of rel[j] * syms[j], where the image's
+            # own symbolic vector sits at the new index, with coefficient 1.
+            if sym_img is None or any(syms[j] is None for j in rel if j != new):
                 continue
-            if any(syms[j] is None for j in combo):
-                continue
-            eq = {}
-            for lab, var_row in sym_img.items():
-                eq[lab] = dict(var_row)
-            for j, c in combo.items():
-                for lab, var_row in syms[j].items():
-                    acc = eq.setdefault(lab, {})
-                    add_native(acc, var_row, -c, p)
-                    if not acc:
-                        del eq[lab]
+            eq = {lab: dict(var_row) for lab, var_row in sym_img.items()}
+            for j, c in rel.items():
+                if j != new:
+                    for lab, var_row in syms[j].items():
+                        acc = eq.setdefault(lab, {})
+                        add_native(acc, var_row, c, p)
+                        if not acc:
+                            del eq[lab]
             for var_row in eq.values():
                 eq_count += 1
                 constraints.insert(var_row)
@@ -590,12 +597,9 @@ def annihilator_staircase(space, vec, degree):
     kernel = []
     words = space.graph.all_paths(degree, space.family_cap)
     for beta in sorted(words, key=ghost_sort_key):
-        img = space._monomial(Path.vertex(beta.target), beta, vec)
-        _, combo, piv = ech.insert(img, {beta: 1})
-        if piv is None:
-            k = {beta: 1}
-            add_native(k, combo, -1, field.characteristic)
-            kernel.append(decode(field, k))
+        rel = ech.relation(space._monomial(Path.vertex(beta.target), beta, vec), beta)
+        if rel is not None:
+            kernel.append(decode(field, rel))
     return kernel
 
 
@@ -625,10 +629,7 @@ def chen_annihilator_membership(word, element):
     complement of the annihilator, so membership reduces to checking that
     every prefix coefficient vanishes.  Returns "in" or "out".
     """
-    ghost = element_to_ghost(element)
-    for beta, coeff in ghost.items():
-        if not coeff:
-            continue
+    for beta in element_to_ghost(element):
         if beta.is_vertex:
             if beta.source == word.source:
                 return "out"

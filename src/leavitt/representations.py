@@ -22,6 +22,7 @@ from functools import cached_property
 from .digraph import CycleTail, Path, ghost_sort_key
 from .division import check_poly, is_irreducible
 from .errors import PreconditionError
+from .fields import signed_sum
 from .linalg import SpanEchelon, add_native, decode, encode
 from .schreier import ghost_to_element
 
@@ -115,7 +116,7 @@ class PrefixModule:
             if u in exempt or not (self.quotient or self.graph.is_regular(u)):
                 continue
             for w, (base, name, _) in self.slots.items():
-                if base == u and ech.insert(images[w], {self.bare(w): 1})[2] is None:
+                if base == u and ech.relation(images[w], self.bare(w)) is not None:
                     raise PreconditionError(
                         f"the slot images at vertex {u} are dependent, "
                         f"so the summation relation collapses {name}"
@@ -292,21 +293,8 @@ class PrefixModule:
         return decode(self.field, out)
 
     def vector_str(self, vec):
-        if not vec:
-            return "0"
         keyed = sorted(vec.items(), key=lambda kv: self.label_sort_key(kv[0]))
-        pieces = []
-        for i, (label, coeff) in enumerate(keyed):
-            body = str(coeff)
-            sign = ""
-            if body.startswith("-"):
-                sign, body = "-", body[1:]
-            text = self.label_str(label) if body == "1" else f"{body} {self.label_str(label)}"
-            if i == 0:
-                pieces.append(f"-{text}" if sign else text)
-            else:
-                pieces.append(f"- {text}" if sign else f"+ {text}")
-        return " ".join(pieces)
+        return signed_sum((coeff, self.label_str(label)) for label, coeff in keyed)
 
 
 # -- verification --------------------------------------------------------------
@@ -566,21 +554,20 @@ def rangaswamy_module_infinite(graph, field, delta, q, family_cap=2):
 class ManteseModule(PrefixModule):
     """The cyclic module with ghost arrows acting by scalars at one vertex.
 
-    weights assigns a scalar to arrows leaving v; arrows carrying a nonzero
-    weight must be loops at v.  At a regular v the weights must cover every
-    arrow leaving v and at least one must be nonzero: the summation
-    relation then identifies labels ending in the largest weighted arrow.
-    At an infinite emitter there is no identification and the module has a
-    socle generated by the weighted sum minus the vertex.
+    weights is a dict from arrows leaving v to scalars; arrows carrying a
+    nonzero weight must be loops at v.  At a regular v the weights must
+    cover every arrow leaving v and at least one must be nonzero: the
+    summation relation then identifies labels ending in the largest
+    weighted arrow.  At an infinite emitter there is no identification
+    and the module has a socle generated by the weighted sum minus the
+    vertex.
     """
 
     def __init__(self, graph, field, v, weights, family_cap=2):
         super().__init__(graph, field, family_cap)
         self.variant = graph.classify_vertex(v)
-        if isinstance(weights, dict):
-            weights = list(weights.items())
         self.weights = {}
-        for arrow, r in weights:
+        for arrow, r in weights.items():
             if arrow.source != v:
                 raise PreconditionError(f"{arrow} does not leave {v}")
             r = field.of(r)
@@ -940,13 +927,11 @@ def mantese_rangaswamy_presentation(
         products.extend(nxt)
         frontier = nxt
     for nu in products:
-        _, combo, pivot = ech.insert(encode(field, ghost_image(nu).coords), {nu: 1})
-        if pivot is not None:
+        rel = ech.relation(encode(field, ghost_image(nu).coords), nu)
+        if rel is None:
             pivot_products.add(nu)
         else:
-            k = {nu: 1}
-            add_native(k, combo, -1, field.characteristic)
-            kernel.append(decode(field, k))
+            kernel.append(decode(field, rel))
 
     generators = [ghost_to_element(graph, field, vec) for vec in kernel]
     excluded = []

@@ -194,6 +194,21 @@ def test_schreier_kv_format(tmp_path, free2_file):
     assert all("=" in line for line in out.splitlines())
 
 
+def test_schreier_ideal_names_a_family_member(tmp_path, loopfam_file):
+    # the brackets of a family index are read as they are in nf
+    ideal = tmp_path / "fam.ideal"
+    ideal.write_text("a*.a* - v, f[1]*\n")
+    code, out, err = run_cli(
+        ["schreier", "--graph", loopfam_file, "--degree", "3", str(ideal)]
+    )
+    assert code == 0, err
+    report = lines_of(out)
+    assert report["generators"] == "2"
+    words = report["co_basis"].split()
+    assert "f[0]*" in words
+    assert not any(word.endswith("f[1]*") for word in words)
+
+
 # -- module ---------------------------------------------------------------------------
 
 
@@ -539,6 +554,17 @@ def test_precondition_errors_exit_3(loopfam_file):
     code, _, err = run_cli(["module", "--graph", loopfam_file, "linear"])
     assert code == 3
     assert "two loops" in err
+
+
+def test_endomorphism_probe_below_the_generator_degree_exits_3(roseab_file):
+    argv = ["module", "mantese", "--graph", roseab_file, "--at", "v", "--weights", "a=1,b=1"]
+    code, out, err = run_cli(argv + ["--probe", "endo", "--degree", "0"])
+    assert code == 3
+    assert out == ""
+    assert "degree at least 1" in err
+    code, out, _ = run_cli(argv + ["--probe", "endo", "--degree", "1"])
+    assert code == 0
+    assert lines_of(out)["dimension"] == "1"
 
 
 def test_mantese_base_vertex_does_not_depend_on_hash_order(tmp_path):

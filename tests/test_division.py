@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +100,36 @@ def test_field_extension_golden_ratio(q):
     D = field_extension(q, [q.of(-1), q.of(-1), q.one])
     x = D.basis("x")
     assert x * x == x + D.one
+
+
+def _reduce_mod(field, poly, modulus):
+    """poly mod the monic modulus, coefficient lists constant term first,
+    by long division from the top, padded to deg(modulus) entries."""
+    deg = len(modulus) - 1
+    poly = list(poly) + [field.zero] * max(0, deg - len(poly))
+    for top in range(len(poly) - 1, deg - 1, -1):
+        c = poly[top]
+        for i, m in enumerate(modulus):
+            poly[top - deg + i] = poly[top - deg + i] - c * m
+    return poly[:deg]
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:5"])
+def test_field_extension_tables_match_polynomial_reduction(tag):
+    # Every product of basis powers x^i x^j is x^(i+j) reduced mod q.
+    field = parse_field(tag)
+    rng = random.Random(11)
+    for deg in (2, 3, 4, 5):
+        for _ in range(4):
+            modulus = [field.of(rng.randint(-4, 4)) for _ in range(deg)] + [field.one]
+            D = field_extension(field, modulus)
+            assert D.labels == ["1", "x"] + [f"x{i}" for i in range(2, deg)]
+            for i in range(deg):
+                for j in range(deg):
+                    power = [field.zero] * (i + j) + [field.one]
+                    got = D.basis(D.labels[i]) * D.basis(D.labels[j])
+                    want = _reduce_mod(field, power, modulus)
+                    assert [got.coord(lab) for lab in D.labels] == want, (modulus, i, j)
 
 
 def test_quaternion_algebra_table(q):

@@ -67,6 +67,33 @@ def test_span_echelon_tracks_combinations(q):
             assert not rem
 
 
+@pytest.mark.parametrize("tag", ["q", "gf:5"])
+def test_span_echelon_relation_is_the_dependency_of_an_insert(tag):
+    field = parse_field(tag)
+    rng = random.Random(7)
+    ech = SpanEchelon(field, lambda k: k)
+    raws, relations = [], 0
+    for i in range(12):
+        vec = encode(field, {
+            rng.randrange(5): field.of(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))
+        })
+        raws.append(vec)
+        rank = ech.rank
+        rel = ech.relation(vec, i)
+        if rel is None:
+            assert ech.rank == rank + 1
+            continue
+        # the insert added no pivot, and the relation combines the raw
+        # inserts, this one with coefficient 1, to zero
+        relations += 1
+        assert ech.rank == rank and rel[i] == 1 and max(rel) == i
+        total = {}
+        for j, c in rel.items():
+            add_native(total, raws[j], c, field.characteristic)
+        assert total == {}
+    assert relations == 12 - ech.rank > 0
+
+
 def test_span_echelon_reduce_is_idempotent(q):
     ech = SpanEchelon(q, lambda k: k)
     ech.insert({0: q.one, 1: q.one}, {0: q.one})
@@ -747,6 +774,38 @@ def test_endomorphism_probe_on_a_stiffer_staircase(roseab, q):
     report = endomorphism_probe(st)
     assert report.dimension == 1
     assert report.table_closes
+
+
+def test_endomorphism_probe_needs_room_for_the_generator(rose2, roseab, q):
+    # The image of the generator ranges over degree at most degree - 1, so
+    # a lower degree would miss even the identity and report a vacuous 0.
+    x1, x2x2 = parse_path(rose2, "x1"), parse_path(rose2, "x2.x2")
+    M = chen_module(rose2, q, periodic_word(x1, x2x2))
+    for degree in (0, 1, 2):
+        with pytest.raises(PreconditionError, match="degree at least 3"):
+            endomorphism_probe(M, degree)
+    assert endomorphism_probe(M, 3).dimension == 1
+    # a staircase quotient is generated in degree 0
+    gens = [parse_element(roseab, q, t) for t in QUAT_GENS]
+    st = SchreierStaircase(roseab, q, gens, 4)
+    with pytest.raises(PreconditionError, match="degree at least 1"):
+        endomorphism_probe(st, 0)
+    assert endomorphism_probe(st, 1).dimension == 1
+
+
+def test_induced_module_at_an_infinite_emitter_has_no_more_endomorphisms(loopfam, q):
+    # rangaswamy_module of x - 1 at the loop a of loopfam is induced from
+    # its bottom layer and carries an extra socle layer at the infinite
+    # emitter; its Chen quotient is simple.  Both commutants are scalars.
+    a = parse_path(loopfam, "a")
+    induced = rangaswamy_module(loopfam, q, a, [q.of(-1), q.one])
+    quotient = chen_module(loopfam, q, periodic_word(a))
+    for degree in (3, 4, 5):
+        for M in (induced, quotient):
+            report = endomorphism_probe(M, degree)
+            assert report.dimension == 1, (M.metadata["kind"], degree)
+            assert report.table_closes
+            assert report.unit_coords == (q.one,)
 
 
 def test_endomorphism_report_express(rose2, q):

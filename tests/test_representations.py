@@ -600,6 +600,40 @@ def test_presentation_gaussian_point(roseab, q):
     assert len(st.free_generators()) == 3
 
 
+ROSEABC = parse_graph("[vertices]\nv\n[arrows]\na: v -> v\nb: v -> v\nc: v -> v\n")
+
+
+def test_presentation_with_periods_longer_than_one_arrow(q):
+    # A period longer than one arrow leaves proper heads (a, after the
+    # period products) in the coset, and the ghost words that are no
+    # period product followed by a proper head join the generators.
+    ab, c = parse_path(ROSEABC, "a.b"), parse_path(ROSEABC, "c")
+    A = quaternion_algebra(q, 1, 1)
+    want = {4: ("at_least", 8), 5: ("finite", 8), 6: ("finite", 8)}
+    for degree, codimension in want.items():
+        P = mantese_rangaswamy_presentation(
+            ROSEABC, q, [ab, c], A, [A.basis("i"), A.basis("j")], degree
+        )
+        st = SchreierStaircase(ROSEABC, q, P.generators, degree)
+        assert st.codimension() == codimension, degree
+        assert set(P.coset_paths(degree)) == set(st.coset_basis())
+        names = [mono_str((Path.vertex(p.target), p)) for p in st.coset_basis()]
+        assert "b*.a*" in names and "a*" in names and "b*" not in names
+        assert len(P.generators) > P.metadata["substitution_kernel_rows"]
+    D = field_extension(q, [q.one, q.zero, q.one])
+    for degree in (4, 5, 6):
+        P = mantese_rangaswamy_presentation(ROSEABC, q, [ab], D, [D.basis("x")], degree)
+        st = SchreierStaircase(ROSEABC, q, P.generators, degree)
+        assert st.codimension() == ("finite", 4), degree
+        assert set(P.coset_paths(degree)) == set(st.coset_basis())
+    # with three arrows a head must match the period, not only its first one
+    abc = parse_path(ROSEABC, "a.b.c")
+    P = mantese_rangaswamy_presentation(ROSEABC, q, [abc], D, [D.basis("x")], 6)
+    st = SchreierStaircase(ROSEABC, q, P.generators, 6)
+    assert st.codimension() == ("finite", 6)
+    assert set(P.coset_paths(6)) == set(st.coset_basis())
+
+
 def test_presentation_validates_periods(roseab, q):
     A = quaternion_algebra(q, 1, 1)
     pa = parse_path(roseab, "a")
