@@ -5,13 +5,24 @@ beta are finite paths with a common target.  Multiplication uses only the
 ghost-kills-real relation, so elements live in the Cohn algebra of the
 graph; normal_form additionally rewrites with the summation relation at
 regular vertices and lands in the canonical Leavitt basis.
+
+Products and normal forms compute on ints: each operand's coefficients are
+encoded once, through the field's native, as integer numerators over the
+lcm of their denominators over Q and as residues over GF(p), and the
+result is decoded once into field scalars.  So a float or another field's
+scalar among the coefficients raises TypeError there.  The parser folds
+each word as one monomial, so reading an expression makes no Element
+products.
 """
 
 import re
+from fractions import Fraction
+from math import lcm
 
 from .digraph import Path, path_sort_key
 from .errors import ParseError, PreconditionError
 from .fields import add_into, signed_sum
+from .linalg import decode
 
 
 class Element:
@@ -123,20 +134,24 @@ class Element:
         # meets only the right terms its ghost part can compose with, visited
         # in the right factor's term order.
         self._compatible(other)
-        right = list(other.terms.items())
+        field = self.field
+        p = field.characteristic
+        left, d1 = _numerators(field, self.terms)
+        right, d2 = _numerators(field, other.terms)
         roots = _prefix_trie(right)
-        zero = self.field.zero
         terms = {}
-        for (a1, b1), c1 in self.terms.items():
+        for (a1, b1), n1 in left:
             for j in _comparable(roots, b1):
-                (a2, b2), c2 = right[j]
+                (a2, b2), n2 = right[j]
                 mono = _mono_product(a1, b1, a2, b2)
-                acc = terms.get(mono, zero) + c1 * c2
+                acc = terms.get(mono, 0) + n1 * n2
+                if p:
+                    acc %= p
                 if acc:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-        return Element._trusted(self.graph, self.field, terms)
+        return Element._trusted(self.graph, field, _scalars(field, terms, d1 * d2))
 
     def involution(self):
         """The K-linear anti-automorphism swapping real and ghost parts."""
@@ -165,6 +180,28 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def _numerators(field, terms):
+    """The coefficients of terms as ints over one denominator d.
+
+    Returns the (monomial, n) pairs in term order, each coefficient being
+    n / d, and d.  Over Q, d is the lcm of the denominators; over GF(p)
+    the ints are residues and d is 1.  field.native keeps the same-field
+    contract: a float or a scalar of another field raises.
+    """
+    nums = list(map(field.native, terms.values()))
+    d = lcm(*[n.denominator for n in nums])
+    if d != 1:
+        nums = [n.numerator * (d // n.denominator) for n in nums]
+    return list(zip(terms, nums)), d
+
+
+def _scalars(field, terms, d):
+    """terms with each int n made the field scalar n / d."""
+    if d == 1:
+        return decode(field, terms)
+    return {mono: Fraction(n, d) for mono, n in terms.items()}
 
 
 def _mono_product(a1, b1, a2, b2):
@@ -272,25 +309,30 @@ def normal_form(element):
     arrows, none of which is reducible at that spot.
     """
     graph, field = element.graph, element.field
+    p = field.characteristic
+    # The rewrite only adds and negates, so one denominator serves throughout.
+    work, d = _numerators(field, element.terms)
     out = {}
-    work = list(element.terms.items())
     while work:
-        (alpha, beta), coeff = work.pop()
-        arrows = _redex(graph, alpha, beta)
+        mono, n = work.pop()
+        arrows = _redex(graph, *mono)
         if arrows is None:
-            acc = out.get((alpha, beta), field.zero) + coeff
+            acc = out.get(mono, 0) + n
+            if p:
+                acc %= p
             if acc:
-                out[(alpha, beta)] = acc
+                out[mono] = acc
             else:
-                out.pop((alpha, beta), None)
+                out.pop(mono, None)
             continue
+        alpha, beta = mono
         a0, b0 = alpha.drop_last(), beta.drop_last()
-        work.append(((a0, b0), coeff))
+        work.append(((a0, b0), n))
         special = arrows[0]
         for e in arrows:
             if e is not special:
-                work.append(((a0.concat(e), b0.concat(e)), -coeff))
-    return Element._trusted(graph, field, out)
+                work.append(((a0.concat(e), b0.concat(e)), -n))
+    return Element._trusted(graph, field, _scalars(field, out, d))
 
 
 def is_normal_form(element):
@@ -327,12 +369,8 @@ def _tokenize(text):
                 raise ParseError(f"bad character in expression at {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("id"):
-            tokens.append(("id", m.group("id")))
-        else:
-            tokens.append(("op", m.group("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m[kind]))
     return tokens
 
 
@@ -345,7 +383,8 @@ class _ExprParser:
               factor := id | id '[' num ']' | factor '*'
     A bare coefficient means that multiple of the identity, the sum of all
     vertex idempotents.  Words multiply in the Cohn algebra, so mixed real
-    and ghost letters simplify as they are read.
+    and ghost letters simplify as they are read: a word folds into one
+    monomial, or vanishes.
     """
 
     def __init__(self, graph, field, tokens):
@@ -371,8 +410,8 @@ class _ExprParser:
         if self.peek() in (("op", "+"), ("op", "-")):
             sign = -one if self.take()[1] == "-" else one
         while True:
-            element, coeff = self.term()
-            add_into(self.field, terms, element.terms, coeff * sign)
+            monos, coeff = self.term()
+            add_into(self.field, terms, dict.fromkeys(monos, coeff), sign)
             if self.pos >= len(self.tokens):
                 return Element(self.graph, self.field, terms)
             kind, val = self.take()
@@ -381,7 +420,7 @@ class _ExprParser:
             sign = -one if val == "-" else one
 
     def term(self):
-        """One summand, as an element and the coefficient weighting it."""
+        """One summand, as its monomials and the coefficient weighting them."""
         kind, val = self.peek()
         coeff = self.field.one
         if kind == "num":
@@ -389,17 +428,21 @@ class _ExprParser:
             coeff = self.field.parse(val)
             kind, val = self.peek()
             if kind != "id":
-                return Element.unit(self.graph, self.field), coeff
+                return Element.unit(self.graph, self.field).terms, coeff
         if kind != "id":
             raise ParseError(f"expected a generator name, found {val!r}")
-        return self.word(), coeff
+        mono = self.word()
+        return () if mono is None else (mono,), coeff
 
     def word(self):
-        out = self.factor()
+        """The word's letters multiplied as one monomial, or None if it vanishes."""
+        mono = self.factor()
         while self.peek() == ("op", "."):
             self.take()
-            out = out * self.factor()
-        return out
+            right = self.factor()
+            if mono is not None:
+                mono = _mono_product(*mono, *right)
+        return mono
 
     def factor(self):
         kind, name = self.take()
@@ -421,15 +464,15 @@ class _ExprParser:
         if index is None and self.graph.has_vertex(name):
             # Vertex idempotents are fixed by the involution, so the star
             # is accepted and ignored.
-            return Element.vertex(self.graph, self.field, name)
+            p = Path.vertex(name)
+            return (p, p)
         try:
             arrow = self.graph.arrow(name, index)
         except PreconditionError as exc:
             raise ParseError(str(exc)) from exc
         path = Path.of_arrows((arrow,))
-        if starred:
-            return Element.ghost(self.graph, self.field, path)
-        return Element.real(self.graph, self.field, path)
+        end = Path.vertex(arrow.target)
+        return (end, path) if starred else (path, end)
 
 
 def parse_element(graph, field, text):

@@ -10,7 +10,7 @@ inside a staircase computation.
 from math import gcd, isqrt
 
 from .errors import ParseError, PreconditionError
-from .fields import add_into
+from .fields import add_into, signed_sum
 
 
 class AlgebraElement:
@@ -68,13 +68,12 @@ class AlgebraElement:
         return self.coords.get(label, self.algebra.field.zero)
 
     def __str__(self):
-        if not self.coords:
-            return "0"
-        pieces = []
-        for label in self.algebra.labels:
-            if label in self.coords:
-                pieces.append(f"{self.coords[label]}{label}")
-        return " + ".join(pieces)
+        unit = self.algebra.unit_label
+        return signed_sum(
+            (self.coords[label], None if label == unit else label)
+            for label in self.algebra.labels
+            if label in self.coords
+        )
 
 
 class StructureAlgebra:

@@ -228,6 +228,7 @@ def signed_sum(terms):
     """Print (scalar, word) pairs as "w1 - 2 w2 + w3", or "0" when empty.
 
     A unit coefficient is left out, and a negative one becomes the sign.
+    A word of None stands for the identity and prints as the bare scalar.
     """
     pieces = []
     for coeff, word in terms:
@@ -235,7 +236,12 @@ def signed_sum(terms):
         neg = body.startswith("-")
         if neg:
             body = body[1:]
-        text = word if body == "1" else f"{body} {word}"
+        if word is None:
+            text = body
+        elif body == "1":
+            text = word
+        else:
+            text = f"{body} {word}"
         if pieces:
             pieces.append(f"- {text}" if neg else f"+ {text}")
         else:

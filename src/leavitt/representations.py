@@ -802,7 +802,7 @@ def _period_factor(periods_by_first, arrows, i):
     if delta is None:
         return None
     k = len(delta)
-    if i + k <= len(arrows) and tuple(arrows[i : i + k]) == tuple(delta.arrows):
+    if arrows[i : i + k] == delta.arrows:
         return k
     return None
 
@@ -825,9 +825,7 @@ def _split_period_product(periods_by_first, v, path):
     rest = arrows[i:]
     if rest:
         delta = periods_by_first.get(rest[0])
-        if delta is None or len(rest) >= len(delta):
-            return None
-        if tuple(rest) != tuple(delta.arrows[: len(rest)]):
+        if delta is None or rest != delta.arrows[: len(rest)]:
             return None
     nu = Path.vertex(v) if i == 0 else Path.of_arrows(arrows[:i])
     return nu, rest

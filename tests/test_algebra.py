@@ -78,6 +78,22 @@ def test_mono_str_dualizes_ghost_words(roseab, q):
     assert mono_str((ab, ba)) == "a.b.a*.b*"
 
 
+def test_kernel_keeps_the_same_field_contract(rose2, q, gf5):
+    # products and normal forms encode their operands through field.native,
+    # so a float or another field's scalar never slips into a result
+    x1 = parse_path(rose2, "x1")
+    v = Path.vertex("v")
+    y = el(rose2, q, "x1* + 2 v")
+    for bad in (0.5, gf5.of(2)):
+        x = Element(rose2, q, {(x1, v): bad})
+        with pytest.raises(TypeError):
+            x * y
+        with pytest.raises(TypeError):
+            y * x
+        with pytest.raises(TypeError):
+            normal_form(x)
+
+
 def test_parse_element_basics(rose2, q):
     x = el(rose2, q, "x1.x2* + 2 v - 1/3 x2")
     assert len(x.terms) == 3
@@ -158,6 +174,7 @@ PRODUCT_GRAPHS = {
 }
 PRODUCT_PATHS = {name: paths_by_target_and_length(g) for name, g in PRODUCT_GRAPHS.items()}
 PRODUCT_FIELDS = [parse_field("q"), parse_field("gf:7")]
+COEFFS = ("1", "-1", "2", "3", "1/2", "-2/3", "5/4", "7/6")
 
 
 @st.composite
@@ -166,7 +183,8 @@ def factor_pairs(draw):
 
     Short paths are as likely as long ones, so vertex monomials, prefix
     comparable parts and parts based at other vertices all turn up, and
-    small coefficients make sums cancel.
+    small coefficients make sums cancel.  Proper fractions give an operand
+    a common denominator other than 1.
     """
     name = draw(st.sampled_from(sorted(PRODUCT_GRAPHS)))
     graph, by_target = PRODUCT_GRAPHS[name], PRODUCT_PATHS[name]
@@ -180,7 +198,7 @@ def factor_pairs(draw):
         terms = {}
         for _ in range(draw(st.integers(0, 8))):
             target = draw(st.sampled_from(sorted(by_target)))
-            coeff = field.of(draw(st.sampled_from((1, -1, 2, 3))))
+            coeff = field.parse(draw(st.sampled_from(COEFFS)))
             terms[(side(target), side(target))] = coeff
         return Element(graph, field, terms)
 
@@ -202,6 +220,16 @@ def chosen(name, left, right):
 def test_indexed_product_matches_pairwise_loop(xy):
     x, y = xy
     assert list((x * y).terms.items()) == list(cohn_product_pairwise(x, y).terms.items())
+
+
+@settings(deadline=None)
+@given(factor_pairs(), st.integers(0, 2**16))
+@example(chosen("rose3", "1/2 x1.x1* - 2/3 x2.x1.x1*", "5/4 x1 + 7/6 v"), 0)
+@example(chosen("sink3", "1/2 g.g* - 2/3 e.e*", "5/4 v - 7/6 e.h.h*.e*"), 0)
+def test_normal_form_matches_random_order_rewrite(xy, seed):
+    x, y = xy
+    for z in (x, x * y):
+        assert normal_form(z) == random_rewrite_normal_form(z, random.Random(seed))
 
 
 def test_product_composes_only_prefix_comparable_pairs(rose3, q, monkeypatch):

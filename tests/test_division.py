@@ -132,6 +132,18 @@ def test_field_extension_tables_match_polynomial_reduction(tag):
                     assert [got.coord(lab) for lab in D.labels] == want, (modulus, i, j)
 
 
+def test_algebra_elements_print_as_signed_sums(q, gf5):
+    # the unit prints as the bare scalar, other labels as scalar and label
+    D = field_extension(q, [q.one, q.zero, q.one])
+    assert str(D.element({"1": q.of(2), "x": q.of(3)})) == "2 + 3 x"
+    assert str(D.basis("x")) == "x"
+    assert str(D.one) == "1"
+    assert str(D.element({"1": q.of(-1), "x": q.parse("-1/2")})) == "-1 - 1/2 x"
+    assert str(D.element({})) == "0"
+    A = quaternion_algebra(gf5, 1, 1)
+    assert str(A.basis("i") - A.basis("k").scale(3)) == "i + 2 k"
+
+
 def test_quaternion_algebra_table(q):
     A = quaternion_algebra(q, 1, 1)
     i, j, k = A.basis("i"), A.basis("j"), A.basis("k")

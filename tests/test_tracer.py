@@ -21,24 +21,62 @@ print(json.dumps({"exit": code, "counts": counts}))
 """
 
 
-def test_tracer_instruments_the_library():
-    # A subprocess keeps the tracer's patches out of this test process.  The
-    # exact counts pin the module probe's work: a change that bypasses
-    # SpanEchelon.insert or the PrefixModule actions would hide that work
-    # from the benchmark and change them.
+# Two rose3 elements parsed, multiplied and rewritten, under the tracer.
+TRACED_ALGEBRA = """
+import json, sys
+import leavitt, leavitt.cli
+from tracer import Tracer, instrument
+tracer = Tracer()
+instrument(leavitt, tracer)
+with open(sys.argv[1], encoding="utf-8") as handle:
+    graph = leavitt.parse_graph(handle.read())
+q = leavitt.parse_field("q")
+x = leavitt.parse_element(graph, q, "x1.x1*.x1.x2 + 1/2 x1.x2* - 2/3 x3.x2*.x2 + 3 x2*.x2.x1.x1*")
+y = leavitt.parse_element(graph, q, "x1 - 5/4 x1.x1* + x3*.x3 + 7/6 x2.x1*.x1.x2*")
+z = leavitt.normal_form(x * y)
+print(json.dumps({"nf": str(z), "calls": tracer.calls, "counts": tracer.counts}))
+"""
+
+
+def run_traced(script, graph_name):
+    # A subprocess keeps the tracer's patches out of this test process.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    graph = os.path.join(root, "perfbench", "data", "roseab.graph")
-    done = subprocess.run([sys.executable, "-c", TRACED, graph], env=env, capture_output=True)
+    graph = os.path.join(root, "perfbench", "data", graph_name)
+    done = subprocess.run([sys.executable, "-c", script, graph], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_tracer_instruments_the_library():
+    # The exact counts pin the module probe's work: a change that bypasses
+    # SpanEchelon.insert or the PrefixModule actions would hide that work
+    # from the benchmark and change them.
+    result = run_traced(TRACED, "roseab.graph")
     assert result["exit"] == 0
     counts = result["counts"]
     assert counts["probes.echelon.insert.calls"] == 384
     assert counts["probes.echelon.reduce.calls"] == 1
     assert counts["representations.act.calls"] == 610
     assert counts["probes.endo.equations"] == 126
+
+
+def test_tracer_pins_the_algebra_layer():
+    # Parsing folds each word as one monomial, so the one traced product is
+    # x * y; a parser that multiplied its letters as Elements would add one
+    # call per dot.
+    result = run_traced(TRACED_ALGEBRA, "rose3.graph")
+    assert result["calls"]["algebra.parse_element"] == 2
+    assert result["calls"]["algebra.mul"] == 1
+    assert result["calls"]["algebra.normal_form"] == 1
+    assert result["counts"]["algebra.normal_form.terms_in"] == 11
+    assert result["counts"]["algebra.normal_form.terms_out"] == 13
+    assert result["nf"] == (
+        "-3/4 v + 3 x1 + 1/6 x3 + 13/12 x1.x2* + 3/4 x2.x2* + 3/4 x3.x3* - 1/4 x1.x2"
+        " - 2/3 x3.x1 - 29/18 x3.x2.x2* - 5/6 x3.x3.x3* + x1.x2.x1 + 29/12 x1.x2.x2.x2*"
+        " + 5/4 x1.x2.x3.x3*"
+    )
 
 
 def test_tracer_bindings_cover_every_module():
