@@ -14,7 +14,7 @@ import sys
 from .algebra import mono_str, normal_form, parse_element
 from .digraph import Path, parse_graph, parse_path, periodic_word, thue_morse_word
 from .division import parse_algebra, quaternion_algebra
-from .errors import LeavittError, ParseError, PreconditionError, UsageError
+from .errors import InvariantError, LeavittError, ParseError, PreconditionError, UsageError
 from .fields import parse_field
 from .probes import (
     chain_candidates,
@@ -316,12 +316,16 @@ def cmd_schreier(args, out):
         free = staircase.free_generators()
         report.add("free_generators", len(free))
         if len(graph.vertices) == 1 and not graph.family_names:
-            n = len(graph.plain_arrows)
-            report.add("lewin_schreier_rank", lewin_schreier_rank(n, count))
+            rank = lewin_schreier_rank(len(graph.plain_arrows), count)
+            report.add("lewin_schreier_rank", rank)
+            if len(free) != rank:
+                raise InvariantError(f"inconsistent report: {len(free)} free generators, rank {rank}")
     openness, level = not_open_up_to(
         graph, field, staircase.membership, args.degree, family_cap=args.family_cap
     )
     report.add("openness", f"{openness}({level})")
+    if (openness, level) == ("open_at", 0) and basis:
+        raise InvariantError(f"inconsistent report: open at level 0, {len(basis)} co_basis words")
     report.emit(args.format, out)
     return 0
 

@@ -437,36 +437,17 @@ def parse_path(graph, text):
 # -- periodicity helpers ------------------------------------------------
 
 
-def smallest_period(seq):
-    """The smallest p > 0 with seq[i] == seq[i+p] wherever both exist.
-
-    Computed from the classical border array.  Returns len(seq) for an
-    aperiodic-looking sequence and 0 for the empty one.
-    """
-    seq = list(seq)
-    n = len(seq)
-    if n == 0:
-        return 0
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k > 0 and seq[i] != seq[k]:
-            k = border[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        border[i] = k
-    return n - border[n - 1]
-
 def primitive_root(cycle):
-    """The primitive closed subpath whose power spells the given cycle."""
+    """The primitive closed subpath whose power spells the given cycle.
+
+    The shortest rotation that fixes the arrows divides the length, and
+    the arrows it moves to the back are the root.
+    """
     if cycle.is_vertex or cycle.source != cycle.target:
         raise PreconditionError(f"{cycle} is not a nonempty closed path")
-    p = smallest_period([a.key for a in cycle.arrows])
-    if len(cycle) % p == 0:
-        root = Path.of_arrows(cycle.arrows[:p])
-        if root.source == root.target:
-            return root
-    return cycle
+    arrows = cycle.arrows
+    p = next(p for p in range(1, len(arrows) + 1) if arrows[p:] + arrows[:p] == arrows)
+    return Path.of_arrows(arrows[:p])
 
 
 # -- infinite words -----------------------------------------------------
@@ -694,7 +675,7 @@ def tail_equivalent(w1, w2):
     """
     t1, t2 = w1.tail, w2.tail
     if isinstance(t1, CycleTail) and isinstance(t2, CycleTail):
-        c1, c2 = primitive_root(t1.cycle), primitive_root(t2.cycle)
+        c1, c2 = t1.cycle, t2.cycle
         if len(c1) != len(c2):
             return False
         doubled = c1.arrows + c1.arrows

@@ -7,10 +7,10 @@ bad multiplication table fails at construction time rather than deep
 inside a staircase computation.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ParseError, PreconditionError
-from .fields import add_into, signed_sum
+from .fields import PrimeField, add_into, signed_sum
 
 
 class AlgebraElement:
@@ -108,13 +108,10 @@ class StructureAlgebra:
         return len(self.labels)
 
     def element(self, coords):
-        """Build an element from a label-to-scalar mapping or coordinate list."""
-        if isinstance(coords, (list, tuple)):
-            if len(coords) != len(self.labels):
-                raise PreconditionError(
-                    f"expected {len(self.labels)} coordinates, got {len(coords)}"
-                )
-            coords = dict(zip(self.labels, coords))
+        """Build an element from a label-to-scalar mapping."""
+        for k in coords:
+            if k not in self.labels:
+                raise PreconditionError(f"unknown basis label {k!r}")
         return AlgebraElement(self, {k: self.field.of(v) for k, v in coords.items()})
 
     def _check_unit(self):
@@ -218,8 +215,6 @@ def is_irreducible(field, coeffs):
         return False
     if deg <= 3:
         return None if root is None else True
-    from .fields import PrimeField
-
     for p in (2, 3, 5, 7, 11, 13):
         if ints[-1] % p == 0:
             continue
@@ -230,12 +225,8 @@ def is_irreducible(field, coeffs):
 
 
 def _integerize(coeffs):
-    from fractions import Fraction
-
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(Fraction(c) * denom) for c in coeffs]
+    d = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 # Bound on the rational root test's work: on isqrt(|a0|) + isqrt(|an|),

@@ -773,38 +773,25 @@ def hilbert_module(graph, field, v, algebra, phi, family_cap=2):
 class LeftIdealPresentation:
     """A left ideal of the ghost subalgebra with a described complement.
 
-    generators is a list of pure ghost Elements.  complement, when given,
-    decides whether a ghost word (stored as its real path) survives into
-    the quotient basis; it must agree with the generators at every degree
-    at which both are examined.
+    generators is a list of pure ghost Elements.  complement decides
+    whether a ghost word (stored as its real path) survives into the
+    quotient basis; it must agree with the generators at every degree at
+    which both are examined.
     """
 
-    def __init__(self, graph, field, generators, complement=None, metadata=None):
+    def __init__(self, graph, field, generators, complement, metadata):
         self.graph = graph
         self.field = field
         self.generators = list(generators)
         self.complement = complement
-        self.metadata = metadata or {}
+        self.metadata = metadata
 
     def coset_paths(self, max_degree, family_cap=2):
-        if self.complement is None:
-            raise PreconditionError("this presentation has no complement rule")
         return [
             p
             for p in self.graph.all_paths(max_degree, family_cap)
             if self.complement(p)
         ]
-
-
-def _period_factor(periods_by_first, arrows, i):
-    """Match one full period at position i, or None."""
-    delta = periods_by_first.get(arrows[i])
-    if delta is None:
-        return None
-    k = len(delta)
-    if arrows[i : i + k] == delta.arrows:
-        return k
-    return None
 
 
 def _split_period_product(periods_by_first, v, path):
@@ -818,10 +805,10 @@ def _split_period_product(periods_by_first, v, path):
     arrows = path.arrows
     i = 0
     while i < len(arrows):
-        k = _period_factor(periods_by_first, arrows, i)
-        if k is None:
+        delta = periods_by_first.get(arrows[i])
+        if delta is None or arrows[i : i + len(delta)] != delta.arrows:
             break
-        i += k
+        i += len(delta)
     rest = arrows[i:]
     if rest:
         delta = periods_by_first.get(rest[0])
@@ -870,10 +857,10 @@ def mantese_rangaswamy_presentation(
     periods is a list of pairwise arrow disjoint closed paths at one vertex
     and images assigns each period a nonzero element of the structure
     algebra.  The ideal is generated by the ghost words vanishing under the
-    substitution together with every ghost path that is not a period
-    product followed by a proper head; the complement rule keeps exactly
-    the products whose images stay independent.  degree bounds both
-    generator lists.
+    substitution together with the shortest ghost paths that are not a
+    period product followed by a proper head; the complement rule keeps
+    the products whose images are independent of those of earlier products
+    in staircase order.  degree bounds both generator lists.
     """
     if not periods:
         raise PreconditionError("need at least one period")
@@ -912,30 +899,24 @@ def mantese_rangaswamy_presentation(
     ech = SpanEchelon(field, rank.get)
     pivot_products = set()
     kernel = []
-    products = [Path.vertex(v)]
-    frontier = [Path.vertex(v)]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for delta in periods:
-                ext = nu.concat(delta)
-                if len(ext) <= degree:
-                    nxt.append(ext)
-        nxt.sort(key=ghost_sort_key)
-        products.extend(nxt)
-        frontier = nxt
-    for nu in products:
-        rel = ech.relation(encode(field, ghost_image(nu).coords), nu)
-        if rel is None:
-            pivot_products.add(nu)
-        else:
-            kernel.append(decode(field, rel))
-
-    generators = [ghost_to_element(graph, field, vec) for vec in kernel]
     excluded = []
-    for p in graph.all_paths(degree, family_cap):
-        if _split_period_product(periods_by_first, v, p) is None:
-            excluded.append(ghost_to_element(graph, field, {p: field.one}))
+    kept = set()
+    # Staircase order puts prefixes first and every extension of an
+    # excluded word is excluded, so only the shortest become generators.
+    for p in sorted(graph.all_paths(degree, family_cap), key=ghost_sort_key):
+        split = _split_period_product(periods_by_first, v, p)
+        if split is None:
+            if p.is_vertex or p.drop_last() in kept:
+                excluded.append(ghost_to_element(graph, field, {p: field.one}))
+            continue
+        kept.add(p)
+        if split[1]:
+            continue
+        rel = ech.relation(encode(field, ghost_image(p).coords), p)
+        if rel is None:
+            pivot_products.add(p)
+        else:
+            kernel.append(ghost_to_element(graph, field, decode(field, rel)))
 
     def complement(path):
         split = _split_period_product(periods_by_first, v, path)
@@ -944,7 +925,7 @@ def mantese_rangaswamy_presentation(
     return LeftIdealPresentation(
         graph,
         field,
-        generators + excluded,
+        kernel + excluded,
         complement,
         metadata={
             "kind": "mantese_rangaswamy",

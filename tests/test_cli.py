@@ -209,6 +209,38 @@ def test_schreier_ideal_names_a_family_member(tmp_path, loopfam_file):
     assert not any(word.endswith("f[1]*") for word in words)
 
 
+# The truncated staircase can miss ideal elements that appear only by
+# cancellation above the degree; a report that shows it contradicts itself.
+CANCELLING_IDEAL = (
+    "x1*.x1*.x1* + x2*, x1*.x1*, x1*.x1*.x2*, x2*.x1*.x2*,"
+    " x1*.x2*.x2*, x2*.x2*.x2*, x1*.x2*.x1*, x2*.x2*.x1*\n"
+)
+
+
+def test_schreier_rank_mismatch_exits_4(tmp_path, rose2_file):
+    ideal = tmp_path / "cancel.ideal"
+    ideal.write_text(CANCELLING_IDEAL)
+    code, out, err = run_cli(["schreier", "--graph", rose2_file, "--degree", "3", str(ideal)])
+    assert (code, out) == (4, "")
+    assert "8 free generators, rank 6" in err
+    # one degree deeper the cancellation is seen and the report agrees
+    code, out, err = run_cli(["schreier", "--graph", rose2_file, "--degree", "4", str(ideal)])
+    assert code == 0, err
+    report = lines_of(out)
+    assert report["codimension"] == "finite(3)"
+    assert report["free_generators"] == report["lewin_schreier_rank"] == "4"
+
+
+def test_schreier_open_at_zero_with_a_co_basis_exits_4(tmp_path, roseab_file):
+    # modulo the ideal b* = 3/4 v and b*.b* = 1/2 v, so b* times the first
+    # generator is -1/4 v: the ideal holds v and has codimension 0
+    ideal = tmp_path / "vertex.ideal"
+    ideal.write_text("-3 v + 4 b*, v - 2 b*.b*\n")
+    code, out, err = run_cli(["schreier", "--graph", roseab_file, "--degree", "5", str(ideal)])
+    assert (code, out) == (4, "")
+    assert "open at level 0, 24 co_basis words" in err
+
+
 # -- module ---------------------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from leavitt import (
     thue_morse_word,
 )
 from leavitt import digraph
-from leavitt.digraph import Arrow
+from leavitt.digraph import Arrow, primitive_root
 from leavitt.errors import PreconditionError
 
 from conftest import ABFAM, ROSE2, ROSEINF, SINK3
@@ -154,6 +154,27 @@ def test_tail_equivalence_distinguishes_words(rose2):
     wb = periodic_word(parse_path(rose2, "x2"))
     assert not tail_equivalent(wa, wb)
     assert tail_equivalent(wa, wa.prepend(parse_path(rose2, "x2").arrows[0]))
+
+
+# two loops at v, a loop at w, and a two-arrow cycle through both
+TWO_CYCLES = parse_graph(
+    "[vertices]\nv\nw\n[arrows]\na: v -> v\nb: v -> v\nc: v -> w\nd: w -> v\ne: w -> w\n"
+)
+
+
+def test_primitive_root_matches_brute_force():
+    closed = [p for p in TWO_CYCLES.all_paths(8) if p.arrows and p.source == p.target]
+    assert len(closed) == 3570
+    for cycle in closed:
+        arrows, n = cycle.arrows, len(cycle)
+        p = min(p for p in range(1, n + 1) if n % p == 0 and arrows == arrows[:p] * (n // p))
+        assert primitive_root(cycle) is Path.of_arrows(arrows[:p]), cycle
+    assert str(primitive_root(parse_path(TWO_CYCLES, "c.d.c.d"))) == "c.d"
+    assert str(primitive_root(parse_path(TWO_CYCLES, "d.c.d.c.d.c"))) == "d.c"
+    assert str(primitive_root(parse_path(TWO_CYCLES, "a.b.a"))) == "a.b.a"
+    for bad in (Path.vertex("v"), parse_path(TWO_CYCLES, "c")):
+        with pytest.raises(PreconditionError):
+            primitive_root(bad)
 
 
 # -- paths and arrows as values -------------------------------------------------

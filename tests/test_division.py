@@ -95,6 +95,13 @@ def test_field_extension_multiplication(q):
     assert z.coord("1") == q.of(-5) and z.coord("x") == q.of(12)
 
 
+def test_elements_name_only_basis_labels(q):
+    D = field_extension(q, [q.one, q.zero, q.one])
+    with pytest.raises(PreconditionError, match="'y'"):
+        D.element({"y": q.one})
+    assert D.element({"x": q.one}) == D.basis("x")
+
+
 def test_field_extension_golden_ratio(q):
     # x^2 = x + 1
     D = field_extension(q, [q.of(-1), q.of(-1), q.one])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from leavitt import (
     cohn_jacobson_module,
     cyclic_submodule,
     field_extension,
+    ghost_to_element,
     hilbert_module,
     is_irreducible,
     linear_example_module,
@@ -632,6 +635,45 @@ def test_presentation_with_periods_longer_than_one_arrow(q):
     st = SchreierStaircase(ROSEABC, q, P.generators, 6)
     assert st.codimension() == ("finite", 6)
     assert set(P.coset_paths(6)) == set(st.coset_basis())
+
+
+@pytest.mark.parametrize(
+    "periods, degree, count",
+    [(("a.b", "c"), 4, 23), (("a.b", "c"), 5, 42), (("a.b", "c"), 6, 73), (("a.b.c",), 6, 13)],
+)
+def test_presentation_keeps_only_the_shortest_excluded_words(q, periods, degree, count):
+    # An independent classifier: a word is a period product followed by a
+    # proper head exactly when its arrow names match the pattern.
+    pattern = "(ab|c)*a?" if len(periods) == 2 else "(abc)*(a|ab)?"
+
+    def excluded(path):
+        return re.fullmatch(pattern, "".join(a.name for a in path.arrows)) is None
+
+    if len(periods) == 2:
+        A = quaternion_algebra(q, 1, 1)
+        images = [A.basis("i"), A.basis("j")]
+    else:
+        A = field_extension(q, [q.one, q.zero, q.one])
+        images = [A.basis("x")]
+    paths = [parse_path(ROSEABC, t) for t in periods]
+    P = mantese_rangaswamy_presentation(ROSEABC, q, paths, A, images, degree)
+    assert len(P.generators) == count
+    words = [g for g in P.generators if len(g.terms) == 1]
+    kernel = [g for g in P.generators if len(g.terms) > 1]
+    assert len(kernel) == P.metadata["substitution_kernel_rows"]
+    for g in words:
+        ((_, beta),) = g.terms
+        assert excluded(beta) and not excluded(beta.drop_last()), beta
+    every_excluded = [
+        ghost_to_element(ROSEABC, q, {p: q.one})
+        for p in ROSEABC.all_paths(degree)
+        if excluded(p)
+    ]
+    st = SchreierStaircase(ROSEABC, q, P.generators, degree)
+    full = SchreierStaircase(ROSEABC, q, kernel + every_excluded, degree)
+    assert set(st.rows) == set(full.rows)
+    assert st.coset_basis() == full.coset_basis()
+    assert set(P.coset_paths(degree)) == set(st.coset_basis())
 
 
 def test_presentation_validates_periods(roseab, q):

@@ -164,6 +164,12 @@ def test_power_ideal_is_open_at_its_level(rose2, q):
     assert st.membership(witness) == "out"
 
 
+def test_power_ideal_scan_stops_at_its_level(rose2, q):
+    st = SchreierStaircase(rose2, q, power_ideal_generators(rose2, q, 2), 5)
+    assert st.codimension() == ("finite", 3)
+    assert not_open_up_to(rose2, q, st.membership, 5) == ("open_at", 2)
+
+
 def test_quaternion_ideal_is_not_open(roseab, q):
     st = quat_staircase(roseab, q, degree=4)
     assert not_open_up_to(roseab, q, st.membership, 3) == ("not_open_up_to", 3)
