@@ -9,10 +9,15 @@ form, together with whether its multiplication table closed.
 
 Module vectors are native inside the probes (see leavitt.linalg), as are
 the label operators of the modules and the rows of Closure.echelon, a
-native pivot table.  Every public function and method takes and returns
-field scalars: vectors are encoded once as they come in, as Closure seeds
-and contains arguments, and decoded once on the way out, as witnesses,
-socle and annihilator vectors, and the basis, unit_coords and table of an
+native pivot table.  The arrow and ghost operators of a prefix module are
+tabled for the window they were built for: each label's image is computed
+once, on first request, and every later request returns the same dict, so
+callers read operator images and never write them.
+
+Every public function and method takes and returns field scalars: vectors
+are encoded once as they come in, as Closure seeds and contains
+arguments, and decoded once on the way out, as witnesses, socle and
+annihilator vectors, and the basis, unit_coords and table of an
 EndomorphismReport.
 """
 
@@ -34,17 +39,20 @@ class ModuleOps:
 
     ops is an ordered list of (name, fn) where fn maps a basis label to a
     native vector, or to None when the image leaves the degree window.
-    Every probe below explores the closure of the generator, a vector of
-    field scalars, under these operators inside the window.
+    The vector may be held in a table and handed out again, so it is
+    read-only to callers; tables maps the name of each tabled operator to
+    its table.  Every probe below explores the closure of the generator, a
+    vector of field scalars, under these operators inside the window.
     """
 
-    def __init__(self, field, ops, generator, sort_key, degree_of, window):
+    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables=None):
         self.field = field
         self.ops = ops
         self.generator = generator
         self.sort_key = sort_key
         self.degree_of = degree_of
         self.window = window
+        self.tables = {} if tables is None else tables
 
     def apply(self, fn, vec):
         out, p = {}, self.field.characteristic
@@ -56,22 +64,44 @@ class ModuleOps:
         return out
 
 
-def prefix_ops(space, window):
-    """Operators of a prefix module: vertices, arrows, ghost arrows."""
+# The image of every label an operator kills: one dict, shared and never written.
+EMPTY_IMAGE = {}
 
-    def guard(img):
-        if img and max(space.degree(l) for l in img) > window:
-            return None
-        return img
+
+def prefix_ops(space, window):
+    """Operators of a prefix module: vertices, arrows, ghost arrows.
+
+    Each arrow and ghost operator tables its images, with the window guard
+    applied as an entry is stored.  The tables live as long as the returned
+    ModuleOps, so every closure and solve that reuses it shares them.
+    """
+    degree = space.degree
+    tables = {}
+
+    def tabled(name, act, a):
+        table = tables[name] = {}
+
+        def fn(lab):
+            try:
+                return table[lab]
+            except KeyError:
+                pass
+            img = act(a, lab)
+            if not img:
+                img = EMPTY_IMAGE
+            elif max(map(degree, img)) > window:
+                img = None
+            table[lab] = img
+            return img
+
+        return name, fn
 
     ops = []
     for v in sorted(space.graph.vertices):
         ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
     arrows = space.active_arrows()
-    for a in arrows:
-        ops.append((str(a), lambda lab, a=a: guard(space.act_arrow(a, lab))))
-    for a in arrows:
-        ops.append((f"{a}*", lambda lab, a=a: guard(space.act_ghost(a, lab))))
+    ops += [tabled(str(a), space.act_arrow, a) for a in arrows]
+    ops += [tabled(f"{a}*", space.act_ghost, a) for a in arrows]
     return ModuleOps(
         space.field,
         ops,
@@ -79,6 +109,7 @@ def prefix_ops(space, window):
         space.label_sort_key,
         space.degree,
         window,
+        tables,
     )
 
 

@@ -58,6 +58,7 @@ class PrefixModule:
         self.family_cap = family_cap
         self.metadata = {}
         self.generator_label = None
+        self._sort_keys = {}
 
     # the bottom layer -----------------------------------------------------
 
@@ -172,8 +173,14 @@ class PrefixModule:
         return label[0].source
 
     def label_sort_key(self, label):
-        mu, slot = label
-        return (self.degree(label), self.slot_rank(slot), len(mu.arrows), mu.key, mu.source)
+        # Tabled per module: echelons ask for the same labels' keys over and over.
+        key = self._sort_keys.get(label)
+        if key is None:
+            mu, slot = label
+            key = self._sort_keys[label] = (
+                self.degree(label), self.slot_rank(slot), len(mu.arrows), mu.key, mu.source
+            )
+        return key
 
     def label_str(self, label):
         mu, slot = label

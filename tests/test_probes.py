@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from leavitt import (
     parse_field,
     parse_path,
     periodic_word,
+    probes,
     quaternion_algebra,
     rangaswamy_module,
     simplicity_probe,
@@ -340,7 +342,9 @@ def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypa
     # Pins the module side as the test above pins the staircase side, on
     # the README weighted point module (mantese at v with a=1, b=1) at
     # degree 4: the label actions and the echelon calls behind its
-    # commutant, the derived rules included.
+    # commutant, the derived rules included.  Arrow and ghost images are
+    # tabled, one computation per label and operator; the vertex operator
+    # is not tabled.
     from leavitt.representations import PrefixModule
 
     calls = dict.fromkeys(["insert", "reduce", "act_vertex", "act_arrow", "act_ghost"], 0)
@@ -355,7 +359,7 @@ def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypa
     a, b = loops(roseab, "a", "b")
     report = endomorphism_probe(mantese_module(roseab, q, "v", {a: q.one, b: q.one}), 4)
     assert (report.dimension, report.table_closes, report.equations) == (1, True, 30)
-    assert calls == {"insert": 96, "reduce": 1, "act_vertex": 32, "act_arrow": 58, "act_ghost": 64}
+    assert calls == {"insert": 96, "reduce": 1, "act_vertex": 32, "act_arrow": 32, "act_ghost": 32}
 
 
 # -- closures ---------------------------------------------------------------------
@@ -602,6 +606,138 @@ def test_closures_match_dense_closures_over_both_fields(loopfam, abfam, roseab, 
         cl = span_closure(prefix_ops(M, window), seeds)
         dense, overflowed = dense_closure(M, seeds, window)
         assert (cl.dim, cl.overflowed) == (dense.rank, overflowed), name
+
+
+# -- operator tables ----------------------------------------------------------------
+
+
+def tabled_modules(loopfam, abfam, roseab, field):
+    """Modules over field with and without rules, overflow and families."""
+    fa, fb = loops(abfam, "a", "b")
+    return {
+        "rangaswamy_linear": rangaswamy_module(
+            loopfam, field, parse_path(loopfam, "a"), [field.of(-1), field.one]
+        ),
+        "chen_loopfam": chen_module(loopfam, field, periodic_word(parse_path(loopfam, "a"))),
+        "abfam_linear": linear_example_module(abfam, field, fa, fb, "linear"),
+        "abfam_mantese": mantese_module(abfam, field, "v", {fa: field.one, fb: field.one}),
+        **field_modules(roseab, field),
+    }
+
+
+def test_simplicity_probe_computes_each_image_once(rose2, loopfam, abfam, roseab, q, monkeypatch):
+    # The probe's closures share one ModuleOps, whose arrow and ghost
+    # operators table their images: each (operator, label) pair runs the
+    # label action once, however many samples reach it.  socle_filter acts
+    # on labels directly, outside the tables, so its calls are not counted.
+    from leavitt.representations import PrefixModule
+
+    computed = Counter()
+    counting = [True]
+    for name in ("act_arrow", "act_ghost"):
+
+        def counted(self, arrow, label, _method=getattr(PrefixModule, name), _name=name):
+            if counting[0]:
+                computed[(_name, arrow, label)] += 1
+            return _method(self, arrow, label)
+
+        monkeypatch.setattr(PrefixModule, name, counted)
+
+    def uncounted(*args, _filter=probes.socle_filter):
+        counting[0] = False
+        try:
+            return _filter(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(probes, "socle_filter", uncounted)
+    cases = {"chen_rose2": chen_module(rose2, q, periodic_word(parse_path(rose2, "x1")))}
+    cases.update(tabled_modules(loopfam, abfam, roseab, q))
+    for name, M in cases.items():
+        computed.clear()
+        simplicity_probe(M, 4)
+        assert computed and max(computed.values()) == 1, name
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_reused_operators_close_like_dense_closures(loopfam, abfam, roseab, tag):
+    # simplicity_probe closes many samples over one ModuleOps, so later
+    # closures read images that earlier ones tabled.  Seed by seed, each
+    # closure must still match a dense closure built from the public
+    # vector actions: dimension, overflow flag and span.
+    field = parse_field(tag)
+    window = 3
+    for name, M in tabled_modules(loopfam, abfam, roseab, field).items():
+        mod = prefix_ops(M, window)
+        labels = M.labels(window)
+        rng = random.Random(name)
+        for k in range(4):
+            picks = rng.sample(labels, min(len(labels), rng.randint(1, 3)))
+            seed = {lab: field.of(rng.randint(1, 6)) for lab in picks}
+            cl = span_closure(mod, [seed])
+            dense, overflowed = dense_closure(M, [seed], window)
+            assert (cl.dim, cl.overflowed) == (dense.rank, overflowed), (name, k)
+            assert all(dense.member(decode(field, row)) for row in cl.echelon.rows.values())
+
+
+def test_operator_tables_hold_fresh_guarded_images(loopfam, abfam, roseab, monkeypatch):
+    # Every probe hands tabled images to its callers.  Once all have run,
+    # the shared empty image is still empty, and every tabled entry equals
+    # a fresh image of its label under the window guard.
+    built = []
+
+    def recording(space, window, _prefix_ops=probes.prefix_ops):
+        mod = _prefix_ops(space, window)
+        built.append((space, mod))
+        return mod
+
+    monkeypatch.setattr(probes, "prefix_ops", recording)
+    window = 4
+    for tag in ("q", "gf:7"):
+        for M in tabled_modules(loopfam, abfam, roseab, parse_field(tag)).values():
+            simplicity_probe(M, window)
+            composition_probe(M, chain_candidates(M), window)
+            endomorphism_probe(M, window)
+            cyclic_submodule(M, [M.generator_vector()], window)
+    assert len(built) == 2 * 6 * 4  # fields, modules, probes
+    assert probes.EMPTY_IMAGE == {}
+    for M, mod in built:
+        for a in M.active_arrows():
+            for act, table in ((M.act_arrow, mod.tables[str(a)]), (M.act_ghost, mod.tables[f"{a}*"])):
+                for lab, img in table.items():
+                    fresh = act(a, lab)
+                    if any(M.degree(l) > window for l in fresh):
+                        assert img is None
+                    else:
+                        assert img == fresh
+                        assert fresh or img is probes.EMPTY_IMAGE
+
+
+# Modules with a proper submodule, and a window at which even the socle
+# candidates alone witness one, so that every seed yields a witness.
+WITNESS_CASES = {"abfam_linear": 3, "abfam_mantese": 3, "rangaswamy_linear": 4}
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    st.sampled_from(sorted(WITNESS_CASES)),
+    st.sampled_from(["q", "gf:7"]),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_simplicity_witnesses_lie_outside_dense_closures(
+    loopfam, abfam, roseab, name, tag, samples, seed
+):
+    # Every proper_submodule witness is checked again, at the probe's
+    # window, by a dense closure: the generator must lie outside its span.
+    # The probe's sample closures all read one set of operator tables.
+    M = tabled_modules(loopfam, abfam, roseab, parse_field(tag))[name]
+    window = WITNESS_CASES[name]
+    report = simplicity_probe(M, window, samples=samples, seed=seed)
+    assert report["verdict"] == "proper_submodule"
+    dense, _ = dense_closure(M, [report["witness"]], window)
+    assert not dense.member(M.generator_vector())
+    assert report["submodule_dim"] == dense.rank
 
 
 def test_endomorphism_dimensions_agree_over_both_fields(roseab):
