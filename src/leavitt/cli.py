@@ -88,10 +88,6 @@ def _load_graph(args):
     return parse_graph(_read_text(args.graph))
 
 
-def _load_field(args):
-    return parse_field(args.field)
-
-
 def _single_arrow(graph, text):
     path = parse_path(graph, text.strip())
     if path.is_vertex or len(path) != 1:
@@ -120,15 +116,19 @@ def _parse_ideal(graph, field, text):
     return generators
 
 
+def _closed_path(graph, text):
+    path = parse_path(graph, text)
+    if path.is_vertex or path.source != path.target:
+        raise ParseError(f"{text!r} is not a closed nonempty path")
+    return path
+
+
 def _parse_word(graph, spec):
     if spec is None:
         raise UsageError("the chen construction needs --word")
     kind, _, rest = spec.partition(":")
     if kind == "rational":
-        cycle = parse_path(graph, rest)
-        if cycle.is_vertex or cycle.source != cycle.target:
-            raise ParseError(f"{rest!r} is not a closed nonempty path")
-        return periodic_word(cycle)
+        return periodic_word(_closed_path(graph, rest))
     if kind in ("tm", "thue_morse"):
         names = rest.split(",")
         if len(names) != 2:
@@ -137,19 +137,21 @@ def _parse_word(graph, spec):
     raise ParseError(f"unknown word kind {kind!r}, expected rational or tm")
 
 
-def _parse_weights(graph, field, spec):
-    if spec is None:
-        raise UsageError("the mantese construction needs --weights like a=1,b=1")
-    weights = {}
+def _arrow_values(graph, spec, value_of):
+    """An arrow=value list, each arrow at most once, read through value_of."""
+    values = {}
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
             continue
         name, eq, value = piece.partition("=")
         if not eq:
-            raise ParseError(f"weight {piece!r} is not of the form arrow=scalar")
-        weights[_single_arrow(graph, name)] = field.parse(value.strip())
-    return weights
+            raise ParseError(f"{piece!r} is not of the form arrow=value")
+        arrow = _single_arrow(graph, name)
+        if arrow in values:
+            raise ParseError(f"the arrow {arrow} is given more than one value")
+        values[arrow] = value_of(value.strip())
+    return values
 
 
 def _parse_poly(field, spec):
@@ -164,47 +166,17 @@ def _parse_poly(field, spec):
     return coeffs
 
 
-def _algebra_value(algebra, field, token):
-    token = token.strip()
-    if token in algebra.labels:
-        return algebra.basis(token)
-    return algebra.one.scale(field.parse(token))
-
-
-def _parse_phi(graph, field, algebra, spec):
-    if spec is None:
-        raise UsageError("the hilbert construction needs --phi like y1=x,y2=1 or --quat")
-    phi = {}
-    for piece in spec.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, eq, value = piece.partition("=")
-        if not eq:
-            raise ParseError(f"substitution {piece!r} is not of the form arrow=value")
-        phi[_single_arrow(graph, name)] = _algebra_value(algebra, field, value)
-    return phi
-
-
-def _loops_at(graph, v):
-    return sorted(
-        (a for a in graph.plain_arrows if a.source == v and a.target == v),
-        key=lambda a: a.name,
-    )
-
-
-def _default_loop_pair(graph, at):
-    if at is not None:
-        v = _default_vertex(graph, at)
-        loops = _loops_at(graph, v)
+def _loop_pair(graph, at):
+    """The first two loops by name at vertex at, or at the first vertex carrying two."""
+    for v in sorted(graph.vertices) if at is None else [_default_vertex(graph, at)]:
+        loops = sorted(
+            (a for a in graph.plain_arrows if a.source == a.target == v), key=lambda a: a.name
+        )
         if len(loops) >= 2:
             return loops[0], loops[1]
-        raise PreconditionError(f"vertex {v} carries fewer than two loops")
-    for v in sorted(graph.vertices):
-        loops = _loops_at(graph, v)
-        if len(loops) >= 2:
-            return loops[0], loops[1]
-    raise PreconditionError("the graph has no vertex with two loops")
+    if at is None:
+        raise PreconditionError("the graph has no vertex with two loops")
+    raise PreconditionError(f"vertex {at} carries fewer than two loops")
 
 
 def _build_module(args, graph, field):
@@ -219,13 +191,13 @@ def _build_module(args, graph, field):
     if kind == "rangaswamy":
         if args.period is None:
             raise UsageError("the rangaswamy construction needs --period")
-        delta = parse_path(graph, args.period)
-        if delta.is_vertex or delta.source != delta.target:
-            raise ParseError(f"{args.period!r} is not a closed nonempty path")
+        delta = _closed_path(graph, args.period)
         q = _parse_poly(field, args.poly)
         return rangaswamy_module(graph, field, delta, q, family_cap=cap)
     if kind == "mantese":
-        weights = _parse_weights(graph, field, args.weights)
+        if args.weights is None:
+            raise UsageError("the mantese construction needs --weights like a=1,b=1")
+        weights = _arrow_values(graph, args.weights, field.parse)
         sources = sorted({a.source for a in weights})
         if args.at:
             v = _default_vertex(graph, args.at)
@@ -244,21 +216,29 @@ def _build_module(args, graph, field):
         elif args.arrow_a or args.arrow_b:
             raise UsageError("give both --a and --b, or neither")
         else:
-            a, b = _default_loop_pair(graph, args.at)
+            a, b = _loop_pair(graph, args.at)
         return linear_example_module(graph, field, a, b, twist=args.twist, family_cap=cap)
     if kind == "hilbert":
         v = _default_vertex(graph, args.at)
         if args.quat:
+            if args.algebra is not None or args.phi is not None:
+                raise UsageError("--quat replaces --algebra and --phi; give one or the other")
             algebra = quaternion_algebra(field, field.parse(args.quat[0]), field.parse(args.quat[1]))
-            loops = _loops_at(graph, v)
-            if len(loops) < 2:
-                raise PreconditionError(f"vertex {v} carries fewer than two loops")
-            phi = {loops[0]: algebra.basis("i"), loops[1]: algebra.basis("j")}
+            a, b = _loop_pair(graph, v)
+            phi = {a: algebra.basis("i"), b: algebra.basis("j")}
         else:
             if args.algebra is None:
                 raise UsageError("the hilbert construction needs --algebra or --quat")
             algebra = parse_algebra(field, args.algebra)
-            phi = _parse_phi(graph, field, algebra, args.phi)
+            if args.phi is None:
+                raise UsageError("the hilbert construction needs --phi like y1=x,y2=1 or --quat")
+
+            def value_of(token):
+                if token in algebra.labels:
+                    return algebra.basis(token)
+                return algebra.one.scale(field.parse(token))
+
+            phi = _arrow_values(graph, args.phi, value_of)
         return hilbert_module(graph, field, v, algebra, phi, family_cap=cap)
     raise UsageError(f"unknown construction {kind!r}")
 
@@ -282,7 +262,7 @@ def _yesno(flag):
 
 def cmd_nf(args, out):
     graph = _load_graph(args)
-    field = _load_field(args)
+    field = parse_field(args.field)
     element = parse_element(graph, field, args.expression)
     canonical = normal_form(element)
     if args.format == "kv":
@@ -297,7 +277,7 @@ def cmd_nf(args, out):
 
 def cmd_schreier(args, out):
     graph = _load_graph(args)
-    field = _load_field(args)
+    field = parse_field(args.field)
     generators = _parse_ideal(graph, field, _read_text(args.ideal))
     staircase = SchreierStaircase(graph, field, generators, args.degree, family_cap=args.family_cap)
     report = Report()
@@ -345,17 +325,13 @@ def _probe_verify(space, args, report):
 
 def _probe_simplicity(space, args, report):
     result = simplicity_probe(space, args.degree, samples=args.samples, seed=args.seed)
-    for key in ("verdict", "window", "samples", "seed"):
-        report.add(key, result[key])
-    if "dim" in result:
-        report.add("dim", result["dim"])
-    if "submodule_dim" in result:
-        report.add("submodule_dim", result["submodule_dim"])
-    if "witness_str" in result:
-        report.add("witness", result["witness_str"])
-    for key in ("overflowed", "family_capped"):
+    for key in (
+        "verdict", "window", "samples", "seed", "dim", "submodule_dim", "witness_str",
+        "overflowed", "family_capped",
+    ):
         if key in result:
-            report.add(key, _yesno(result[key]))
+            value = result[key]
+            report.add(key.removesuffix("_str"), _yesno(value) if isinstance(value, bool) else value)
     return 0
 
 
@@ -401,7 +377,7 @@ def _probe_endo(space, args, report):
 
 def cmd_module(args, out):
     graph = _load_graph(args)
-    field = _load_field(args)
+    field = parse_field(args.field)
     space = _build_module(args, graph, field)
     report = Report()
     report.add("seed", args.seed)

@@ -638,7 +638,7 @@ def thue_morse_word(graph, arrow0, arrow1):
     return generator_word(f"tm({arrow0},{arrow1})", fn, arrow0.source, aperiodic=True)
 
 
-def classify_word(word, offset_bound=8, period_bound=8, window=None):
+def classify_word(word, offset_bound=8, period_bound=8):
     """Decide eventual periodicity where that is possible.
 
     Cycle tails are exactly eventually periodic: returns
@@ -651,8 +651,7 @@ def classify_word(word, offset_bound=8, period_bound=8, window=None):
     """
     if isinstance(word.tail, CycleTail):
         return ("rational", word.tail.cycle)
-    if window is None:
-        window = offset_bound + 2 * period_bound + 48
+    window = offset_bound + 2 * period_bound + 48
     keys = [a.key for a in word.window(window)]
     surviving = []
     for p in range(1, period_bound + 1):

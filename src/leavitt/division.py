@@ -386,10 +386,7 @@ def field_extension(field, coeffs):
                 labels[k]: c for k, c in enumerate(powers[i + j]) if c
             }
     name = "ext(" + ",".join(str(c) for c in coeffs) + ")"
-    alg = StructureAlgebra(field, labels, "1", table, name=name)
-    alg.kind = "extension"
-    alg.modulus = coeffs
-    return alg
+    return StructureAlgebra(field, labels, "1", table, name=name)
 
 
 def quaternion_algebra(field, c, d):
@@ -419,9 +416,7 @@ def quaternion_algebra(field, c, d):
     put("k", "j", "i", -d)
     put("k", "i", "j", c)
     put("i", "k", "j", -c)
-    alg = StructureAlgebra(field, labels, "1", table, name=f"quat({c},{d})")
-    alg.kind = "quaternion"
-    return alg
+    return StructureAlgebra(field, labels, "1", table, name=f"quat({c},{d})")
 
 
 def parse_algebra(field, text):

@@ -469,19 +469,22 @@ class EndomorphismReport:
     be evaluated and expressed; table_closes says all of them could.
     """
 
-    def __init__(self, field, free_vars, basis, dimension):
+    def __init__(
+        self, field, free_vars, basis, dimension, unit_coords, table, table_closes,
+        overflowed, equations, independent, window, variable_degree,
+    ):
         self.field = field
         self.free_vars = free_vars
         self.basis = basis
         self.dimension = dimension
-        self.unit_coords = None
-        self.table = None
-        self.table_closes = False
-        self.overflowed = False
-        self.equations = 0
-        self.independent = 0
-        self.window = None
-        self.variable_degree = None
+        self.unit_coords = unit_coords
+        self.table = table
+        self.table_closes = table_closes
+        self.overflowed = overflowed
+        self.equations = equations
+        self.independent = independent
+        self.window = window
+        self.variable_degree = variable_degree
 
     def express(self, vec):
         """Coordinates of vec over the basis, or None when it is outside."""
@@ -581,18 +584,9 @@ def endomorphism_probe(target, degree=None):
                 constraints.insert(var_row)
     free_vars = [v for v in variables if v not in constraints.rows]
     basis = constraints.kernel(variables)
-    report = EndomorphismReport(field, free_vars, [decode(field, z) for z in basis], len(basis))
-    report.overflowed = overflow
-    report.equations = eq_count
-    report.independent = constraints.rank
-    report.window = mod.window
-    report.variable_degree = None if not variables else max(
-        mod.degree_of(v) for v in variables
-    )
-    report.unit_coords = _express(field, free_vars, basis, rows[0])
-    if report.dimension and report.dimension <= 16:
-        table = {}
-        closes = True
+    table, closes = None, False
+    if 0 < len(basis) <= 16:
+        table, closes = {}, True
         for j, zj in enumerate(basis):
             rem, combo = ech.reduce(zj)
             usable = not rem and all(syms[k] is not None for k in combo)
@@ -605,9 +599,13 @@ def endomorphism_probe(target, degree=None):
                     cell = _express(field, free_vars, basis, image)
                 table[(i, j)] = cell
                 closes = closes and cell is not None
-        report.table = table
-        report.table_closes = closes
-    return report
+    return EndomorphismReport(
+        field, free_vars, [decode(field, z) for z in basis], len(basis),
+        unit_coords=_express(field, free_vars, basis, rows[0]),
+        table=table, table_closes=closes, overflowed=overflow,
+        equations=eq_count, independent=constraints.rank, window=mod.window,
+        variable_degree=max((mod.degree_of(v) for v in variables), default=None),
+    )
 
 
 # -- annihilators -------------------------------------------------------------------
@@ -636,16 +634,11 @@ def annihilator_staircase(space, vec, degree):
 
 def annihilator_member_fn(space, vec):
     """Membership oracle for the annihilator of vec, exact on ghost elements."""
-
-    field = space.field
-    vec = encode(field, vec)
+    vec = encode(space.field, vec)
 
     def member(element):
-        acc = {}
-        for beta, coeff in element_to_ghost(element).items():
-            img = space._monomial(Path.vertex(beta.target), beta, vec)
-            add_native(acc, img, field.native(coeff), field.characteristic)
-        return not acc
+        element_to_ghost(element)  # refuses a monomial with a real arrow
+        return not space._element(element, vec)
 
     return member
 

@@ -12,9 +12,9 @@ backed words keep offset hooks.  Vectors are dicts from labels to scalars.
 Every public method takes and returns vectors of field scalars.  Inside,
 the label level operators (act_vertex, act_arrow, act_ghost, slot_ghost,
 canonical_into, rewrite_step) work on the field's native values (see
-leavitt.linalg), and so do _apply and _monomial, the two vector loops
-that the public vertex_apply, arrow_apply, ghost_apply, act_monomial and
-act_element wrap with one encode and one decode.
+leavitt.linalg), and so do _apply, _monomial and _element, the vector
+loops that the public vertex_apply, arrow_apply, ghost_apply,
+act_monomial and act_element wrap with one encode and one decode.
 """
 
 from functools import cached_property
@@ -293,11 +293,14 @@ class PrefixModule:
     def act_monomial(self, alpha, beta, vec):
         return decode(self.field, self._monomial(alpha, beta, encode(self.field, vec)))
 
-    def act_element(self, element, vec):
-        vec, out = encode(self.field, vec), {}
+    def _element(self, element, vec):
+        out = {}
         for (alpha, beta), coeff in element.terms.items():
             add_native(out, self._monomial(alpha, beta, vec), self.field.native(coeff), self._p)
-        return decode(self.field, out)
+        return out
+
+    def act_element(self, element, vec):
+        return decode(self.field, self._element(element, encode(self.field, vec)))
 
     def vector_str(self, vec):
         keyed = sorted(vec.items(), key=lambda kv: self.label_sort_key(kv[0]))
@@ -778,27 +781,20 @@ def hilbert_module(graph, field, v, algebra, phi, family_cap=2):
 
 
 class LeftIdealPresentation:
-    """A left ideal of the ghost subalgebra with a described complement.
+    """A left ideal of the ghost subalgebra with its coset words.
 
-    generators is a list of pure ghost Elements.  complement decides
-    whether a ghost word (stored as its real path) survives into the
-    quotient basis; it must agree with the generators at every degree at
-    which both are examined.
+    generators is a list of pure ghost Elements.  coset lists, in
+    staircase order, the ghost words (stored as their real paths) up to
+    the construction degree and family cap that survive into the quotient
+    basis, the coset of the staircase the generators span at that degree.
     """
 
-    def __init__(self, graph, field, generators, complement, metadata):
+    def __init__(self, graph, field, generators, coset, metadata):
         self.graph = graph
         self.field = field
         self.generators = list(generators)
-        self.complement = complement
+        self.coset = coset
         self.metadata = metadata
-
-    def coset_paths(self, max_degree, family_cap=2):
-        return [
-            p
-            for p in self.graph.all_paths(max_degree, family_cap)
-            if self.complement(p)
-        ]
 
 
 def _split_period_product(periods_by_first, v, path):
@@ -865,9 +861,10 @@ def mantese_rangaswamy_presentation(
     and images assigns each period a nonzero element of the structure
     algebra.  The ideal is generated by the ghost words vanishing under the
     substitution together with the shortest ghost paths that are not a
-    period product followed by a proper head; the complement rule keeps
-    the products whose images are independent of those of earlier products
-    in staircase order.  degree bounds both generator lists.
+    period product followed by a proper head; the coset keeps the words
+    whose period product has an image independent of those of earlier
+    products in staircase order.  degree bounds the generators and the
+    coset.
     """
     if not periods:
         raise PreconditionError("need at least one period")
@@ -908,8 +905,10 @@ def mantese_rangaswamy_presentation(
     kernel = []
     excluded = []
     kept = set()
-    # Staircase order puts prefixes first and every extension of an
-    # excluded word is excluded, so only the shortest become generators.
+    coset = []
+    # Staircase order puts prefixes first, so a word's period product is
+    # decided before the word; and every extension of an excluded word is
+    # excluded, so only the shortest become generators.
     for p in sorted(graph.all_paths(degree, family_cap), key=ghost_sort_key):
         split = _split_period_product(periods_by_first, v, p)
         if split is None:
@@ -917,23 +916,21 @@ def mantese_rangaswamy_presentation(
                 excluded.append(ghost_to_element(graph, field, {p: field.one}))
             continue
         kept.add(p)
-        if split[1]:
-            continue
-        rel = ech.relation(encode(field, ghost_image(p).coords), p)
-        if rel is None:
-            pivot_products.add(p)
-        else:
-            kernel.append(ghost_to_element(graph, field, decode(field, rel)))
-
-    def complement(path):
-        split = _split_period_product(periods_by_first, v, path)
-        return split is not None and split[0] in pivot_products
+        nu, rest = split
+        if not rest:
+            rel = ech.relation(encode(field, ghost_image(p).coords), p)
+            if rel is None:
+                pivot_products.add(p)
+            else:
+                kernel.append(ghost_to_element(graph, field, decode(field, rel)))
+        if nu in pivot_products:
+            coset.append(p)
 
     return LeftIdealPresentation(
         graph,
         field,
         kernel + excluded,
-        complement,
+        coset,
         metadata={
             "kind": "mantese_rangaswamy",
             "vertex": v,

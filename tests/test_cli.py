@@ -581,6 +581,44 @@ def test_zero_denominator_in_prime_field_exits_2(rose2_file):
     assert "1/5" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "construction",
+    [
+        ["mantese", "--weights", "a=1,b=0,a=2"],
+        ["hilbert", "--algebra", "ext:1,0,1", "--phi", "a=x,a=1,b=1"],
+    ],
+)
+def test_an_arrow_given_two_values_exits_2(roseab_file, construction):
+    code, out, err = run_cli(["module", "--graph", roseab_file, *construction])
+    assert (code, out) == (2, "")
+    assert "the arrow a is given more than one value" in err
+
+
+@pytest.mark.parametrize("extra", [["--algebra", "ext:1,0,1"], ["--phi", "a=1,b=1"]])
+def test_quat_with_algebra_or_phi_exits_1(roseab_file, extra):
+    argv = ["module", "--graph", roseab_file, "hilbert", "--quat", "1", "1", *extra]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert "--quat" in err
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [
+        ["rangaswamy", "--period", "e", "--poly", "1,1"],
+        ["rangaswamy", "--period", "u", "--poly", "1,1"],
+        ["chen", "--word", "rational:e"],
+        ["chen", "--word", "rational:u"],
+    ],
+)
+def test_a_period_that_is_no_closed_path_exits_2(tmp_path, construction):
+    graph = tmp_path / "sink3.graph"
+    graph.write_text(SINK3)
+    code, out, err = run_cli(["module", "--graph", str(graph), "--at", "u", *construction])
+    assert (code, out) == (2, "")
+    assert "is not a closed nonempty path" in err
+
+
 def test_precondition_errors_exit_3(loopfam_file):
     # only one plain loop, so no loop pair to build on
     code, _, err = run_cli(["module", "--graph", loopfam_file, "linear"])

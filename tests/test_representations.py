@@ -586,8 +586,8 @@ def test_presentation_recovers_quaternion_ideal(roseab, q):
     names = [mono_str((Path.vertex(p.target), p)) for p in st.coset_basis()]
     assert names == ["v", "a*", "b*", "a*.b*"]
     assert st.codimension() == ("finite", 4)
-    # the complement rule agrees with the staircase coset
-    assert set(P.coset_paths(4)) == set(st.coset_basis())
+    # the presentation's coset is the staircase coset
+    assert set(P.coset) == set(st.coset_basis())
     # every generator image vanishes under the substitution
     images = {pa.arrows[0]: A.basis("i"), pb.arrows[0]: A.basis("j")}
     for gen in P.generators:
@@ -619,7 +619,7 @@ def test_presentation_with_periods_longer_than_one_arrow(q):
         )
         st = SchreierStaircase(ROSEABC, q, P.generators, degree)
         assert st.codimension() == codimension, degree
-        assert set(P.coset_paths(degree)) == set(st.coset_basis())
+        assert set(P.coset) == set(st.coset_basis())
         names = [mono_str((Path.vertex(p.target), p)) for p in st.coset_basis()]
         assert "b*.a*" in names and "a*" in names and "b*" not in names
         assert len(P.generators) > P.metadata["substitution_kernel_rows"]
@@ -628,13 +628,24 @@ def test_presentation_with_periods_longer_than_one_arrow(q):
         P = mantese_rangaswamy_presentation(ROSEABC, q, [ab], D, [D.basis("x")], degree)
         st = SchreierStaircase(ROSEABC, q, P.generators, degree)
         assert st.codimension() == ("finite", 4), degree
-        assert set(P.coset_paths(degree)) == set(st.coset_basis())
+        assert set(P.coset) == set(st.coset_basis())
     # with three arrows a head must match the period, not only its first one
     abc = parse_path(ROSEABC, "a.b.c")
     P = mantese_rangaswamy_presentation(ROSEABC, q, [abc], D, [D.basis("x")], 6)
     st = SchreierStaircase(ROSEABC, q, P.generators, 6)
     assert st.codimension() == ("finite", 6)
-    assert set(P.coset_paths(6)) == set(st.coset_basis())
+    assert set(P.coset) == set(st.coset_basis())
+
+
+def test_presentation_coset_honours_its_family_cap(loopfam, q):
+    # f[2] only exists under a family cap of three, and the coset must be
+    # read under the cap the presentation was built with.
+    D = field_extension(q, [q.one, q.zero, q.one])
+    f2 = parse_path(loopfam, "f[2]")
+    P = mantese_rangaswamy_presentation(loopfam, q, [f2], D, [D.basis("x")], 3, family_cap=3)
+    st = SchreierStaircase(loopfam, q, P.generators, 3, family_cap=3)
+    assert set(st.coset_basis()) == {Path.vertex("v"), f2}
+    assert set(P.coset) == set(st.coset_basis())
 
 
 @pytest.mark.parametrize(
@@ -673,7 +684,7 @@ def test_presentation_keeps_only_the_shortest_excluded_words(q, periods, degree,
     full = SchreierStaircase(ROSEABC, q, kernel + every_excluded, degree)
     assert set(st.rows) == set(full.rows)
     assert st.coset_basis() == full.coset_basis()
-    assert set(P.coset_paths(degree)) == set(st.coset_basis())
+    assert set(P.coset) == set(st.coset_basis())
 
 
 def test_presentation_validates_periods(roseab, q):
