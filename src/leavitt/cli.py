@@ -210,6 +210,8 @@ def _build_module(args, graph, field):
             )
         return mantese_module(graph, field, v, weights, family_cap=cap)
     if kind == "linear":
+        if args.at is not None and (args.arrow_a or args.arrow_b):
+            raise UsageError("--a and --b replace --at; give one or the other")
         if args.arrow_a and args.arrow_b:
             a = _single_arrow(graph, args.arrow_a)
             b = _single_arrow(graph, args.arrow_b)

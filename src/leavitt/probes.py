@@ -14,6 +14,12 @@ tabled for the window they were built for: each label's image is computed
 once, on first request, and every later request returns the same dict, so
 callers read operator images and never write them.
 
+The probes skip work whose result is already known: a graph with one
+vertex gets no vertex operator, since its idempotent is the unit; the run
+of whole degrees a closure holds is read off its pivots; and a sample
+closure stops walking once it holds the generator, which is all the
+simplicity probe asks of it then.
+
 Every public function and method takes and returns field scalars: vectors
 are encoded once as they come in, as Closure seeds and contains
 arguments, and decoded once on the way out, as witnesses, socle and
@@ -71,6 +77,10 @@ EMPTY_IMAGE = {}
 def prefix_ops(space, window):
     """Operators of a prefix module: vertices, arrows, ghost arrows.
 
+    The vertex operators are listed only on a graph with two or more
+    vertices: the idempotent of a lone vertex is the unit, so its operator
+    would send every vector to itself, and no span or equation could change.
+
     Each arrow and ghost operator tables its images, with the window guard
     applied as an entry is stored.  The tables live as long as the returned
     ModuleOps, so every closure and solve that reuses it shares them.
@@ -97,8 +107,9 @@ def prefix_ops(space, window):
         return name, fn
 
     ops = []
-    for v in sorted(space.graph.vertices):
-        ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
+    if len(space.graph.vertices) > 1:
+        for v in sorted(space.graph.vertices):
+            ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
     arrows = space.active_arrows()
     ops += [tabled(str(a), space.act_arrow, a) for a in arrows]
     ops += [tabled(f"{a}*", space.act_ghost, a) for a in arrows]
@@ -114,17 +125,17 @@ def prefix_ops(space, window):
 
 
 def staircase_ops(staircase):
-    """Operators of the quotient by a staircase ideal, a ghost side module."""
+    """Operators of the quotient by a staircase ideal, a ghost side module.
+
+    As in prefix_ops, the vertex operators are listed only on a graph with
+    two or more vertices.
+    """
     graph, field = staircase.graph, staircase.field
 
     ops = []
-    for v in sorted(graph.vertices):
-        ops.append(
-            (
-                f"v:{v}",
-                lambda p, v=v: {p: 1} if p.target == v else {},
-            )
-        )
+    if len(graph.vertices) > 1:
+        for v in sorted(graph.vertices):
+            ops.append((f"v:{v}", lambda p, v=v: {p: 1} if p.target == v else {}))
     for a in graph.all_arrows(staircase.family_cap):
 
         def ghost(p, a=a):
@@ -174,15 +185,33 @@ class Closure:
     def contains(self, vec):
         return self.echelon.contains(encode(self.mod.field, vec))
 
-    def extend(self, seeds):
-        """Add the seeds and everything the operators reach from them."""
+    def extend(self, seeds, goal=None):
+        """Add the seeds and everything the operators reach from them.
+
+        With a nonzero goal, a vector of field scalars, the walk stops as
+        soon as the span holds the goal, and then dim, overflowed and the
+        span describe only the part walked so far.  When the span never
+        holds the goal the walk runs to completion, as it does without one.
+        """
         mod, ech = self.mod, self.echelon
+        lead = None
+        if goal is not None:
+            goal = encode(mod.field, goal)
+            # every vector of the span leads with a pivot, so the goal can
+            # lie in it only once its leading label is one
+            lead = max(goal, key=mod.sort_key, default=None)
+
+        def reached():
+            return lead in ech.rows and ech.contains(goal)
+
         queue = deque()
         for seed in seeds:
             if any(mod.degree_of(l) > mod.window for l in seed):
                 raise PreconditionError("seed vector does not fit in the window")
             seed = encode(mod.field, seed)
             if ech.insert(seed)[2] is not None:
+                if reached():
+                    return self
                 queue.append(seed)
         while queue:
             row = queue.popleft()
@@ -191,12 +220,14 @@ class Closure:
                 if img is None:
                     self.overflowed = True
                 elif img and ech.insert(img)[2] is not None:
+                    if reached():
+                        return self
                     queue.append(img)
         return self
 
 
-def span_closure(mod, seeds):
-    return Closure(mod).extend(seeds)
+def span_closure(mod, seeds, goal=None):
+    return Closure(mod).extend(seeds, goal)
 
 
 def cyclic_submodule(space, seeds, window):
@@ -250,7 +281,9 @@ def simplicity_probe(space, window, samples=12, seed=0):
     inconclusive = False
     for m in candidates:
         tested += 1
-        sub = span_closure(mod, [m])
+        # the walk stops once it reaches the generator, so dim, overflowed
+        # and the span are read only from a sample that walked to the end
+        sub = span_closure(mod, [m], goal=gen)
         if sub.contains(gen):
             continue
         m_deg = max(space.degree(lab) for lab in m)
@@ -394,10 +427,12 @@ def composition_probe(space, candidates, window):
                 "vertex": vertex,
             }
         )
-    # labels come sorted by degree, so the first one missed ends the run
+    # Labels come sorted by degree, and each row's tail sorts below its
+    # pivot, so every label up to the first one that is not a pivot lies in
+    # the span, and that one does not: it ends the run of whole degrees.
     exhausted = window
     for lab in space.labels(window):
-        if not cl.echelon.contains({lab: 1}):
+        if lab not in cl.echelon.rows:
             exhausted = space.degree(lab) - 1
             break
     return {

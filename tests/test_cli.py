@@ -602,6 +602,37 @@ def test_quat_with_algebra_or_phi_exits_1(roseab_file, extra):
     assert "--quat" in err
 
 
+TWO_ROSES = """\
+[vertices]
+v
+w
+[arrows]
+a: v -> v
+b: v -> v
+c: w -> w
+d: w -> w
+"""
+
+
+@pytest.mark.parametrize(
+    "loops", [["--a", "a", "--b", "b"], ["--a", "c", "--b", "d"], ["--a", "c"]]
+)
+def test_linear_with_at_and_named_loops_exits_1(tmp_path, loops):
+    # --at picks the loop pair at a vertex and --a/--b name one, so the
+    # two together are refused rather than one of them ignored.
+    graph = tmp_path / "two_roses.graph"
+    graph.write_text(TWO_ROSES)
+    base = ["module", "--graph", str(graph)]
+    code, out, err = run_cli([*base, "--at", "w", "linear", *loops, "--probe", "verify"])
+    assert (code, out) == (1, "")
+    assert "--at" in err
+    # either on its own builds the module at w
+    at_w = run_cli([*base, "--at", "w", "linear", "--probe", "verify"])
+    named = run_cli([*base, "linear", "--a", "c", "--b", "d", "--probe", "verify"])
+    assert at_w == named and at_w[0] == 0
+    assert "relation: w - c - c.d\n" in at_w[1]
+
+
 @pytest.mark.parametrize(
     "construction",
     [

@@ -13,6 +13,7 @@ from leavitt import (
     chain_candidates,
     chen_annihilator_membership,
     chen_module,
+    cohn_jacobson_module,
     composition_probe,
     cyclic_submodule,
     endomorphism_probe,
@@ -37,7 +38,7 @@ from leavitt import (
 )
 from leavitt.errors import PreconditionError
 from leavitt.linalg import SpanEchelon, add_native, decode, encode
-from leavitt.probes import Closure, prefix_ops, span_closure
+from leavitt.probes import Closure, ModuleOps, prefix_ops, span_closure, staircase_ops
 
 from oracles import DenseSpan, dense_closure, paths_by_target, random_ghost_element
 from test_schreier import QUAT_GENS
@@ -317,7 +318,9 @@ def test_span_echelon_kernel_refuses_rows_on_foreign_keys(q):
 
 def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
     # Pins the kernel's work on the README quaternion ideal: a change to
-    # the elimination path changes these counts.
+    # the elimination path changes these counts.  The endomorphism probe
+    # lists no vertex operator on the one-vertex roseab, so it inserts no
+    # row's own image.
     calls = {"insert": 0, "reduce": 0}
     for name in calls:
         method = getattr(SpanEchelon, name)
@@ -335,7 +338,7 @@ def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
     assert not_open_up_to(roseab, gf, st.membership, 8) == ("not_open_up_to", 8)
     assert calls == {"insert": 507, "reduce": 9}
     assert endomorphism_probe(st).dimension == 1
-    assert calls == {"insert": 530, "reduce": 51}
+    assert calls == {"insert": 526, "reduce": 51}
 
 
 def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypatch):
@@ -343,8 +346,9 @@ def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypa
     # the README weighted point module (mantese at v with a=1, b=1) at
     # degree 4: the label actions and the echelon calls behind its
     # commutant, the derived rules included.  Arrow and ghost images are
-    # tabled, one computation per label and operator; the vertex operator
-    # is not tabled.
+    # tabled, one computation per label and operator.  roseab has one
+    # vertex, whose operator would be the identity, so none is listed: no
+    # act_vertex call, and none of the 16 inserts of a row's own image.
     from leavitt.representations import PrefixModule
 
     calls = dict.fromkeys(["insert", "reduce", "act_vertex", "act_arrow", "act_ghost"], 0)
@@ -359,7 +363,7 @@ def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypa
     a, b = loops(roseab, "a", "b")
     report = endomorphism_probe(mantese_module(roseab, q, "v", {a: q.one, b: q.one}), 4)
     assert (report.dimension, report.table_closes, report.equations) == (1, True, 30)
-    assert calls == {"insert": 96, "reduce": 1, "act_vertex": 32, "act_arrow": 32, "act_ghost": 32}
+    assert calls == {"insert": 80, "reduce": 1, "act_vertex": 0, "act_arrow": 32, "act_ghost": 32}
 
 
 # -- closures ---------------------------------------------------------------------
@@ -597,13 +601,22 @@ def field_modules(roseab, field):
 
 
 @pytest.mark.parametrize("window", [3, 4])
-def test_closures_match_dense_closures_over_both_fields(loopfam, abfam, roseab, q, window):
+def test_closures_match_dense_closures_over_both_fields(loopfam, abfam, roseab, sink3, q, window):
+    # The dense oracle walks every vertex action; prefix_ops lists vertex
+    # operators only on the three-vertex sink3, one per vertex.
     cases = list(chain_modules(loopfam, abfam, q).items())
     for tag in ("q", "gf:7"):
         cases += [(f"{name} {tag}", M) for name, M in field_modules(roseab, parse_field(tag)).items()]
+    cases.append(("cohn_sink3", cohn_jacobson_module(sink3, q, "w")))
     for name, M in cases:
         seeds = chain_candidates(M)
-        cl = span_closure(prefix_ops(M, window), seeds)
+        mod = prefix_ops(M, window)
+        vertex_ops = [op for op, _ in mod.ops if op.startswith("v:")]
+        if len(M.graph.vertices) > 1:
+            assert vertex_ops == [f"v:{v}" for v in sorted(M.graph.vertices)], name
+        else:
+            assert vertex_ops == [], name
+        cl = span_closure(mod, seeds)
         dense, overflowed = dense_closure(M, seeds, window)
         assert (cl.dim, cl.overflowed) == (dense.rank, overflowed), name
 
@@ -623,6 +636,115 @@ def tabled_modules(loopfam, abfam, roseab, field):
         "abfam_mantese": mantese_module(abfam, field, "v", {fa: field.one, fb: field.one}),
         **field_modules(roseab, field),
     }
+
+
+def with_identity(mod):
+    """mod with the identity operator of the lone vertex in front of its ops."""
+    ops = [("v:identity", lambda lab: {lab: 1}), *mod.ops]
+    return ModuleOps(
+        mod.field, ops, mod.generator, mod.sort_key, mod.degree_of, mod.window, mod.tables
+    )
+
+
+def random_seeds(M, field, rng, count, window=3):
+    """count random vectors of one to three labels of degree at most window."""
+    labels = M.labels(window)
+    for _ in range(count):
+        picks = rng.sample(labels, min(len(labels), rng.randint(1, 3)))
+        yield {lab: field.of(rng.randint(1, 6)) for lab in picks}
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_an_identity_vertex_operator_changes_no_closure(loopfam, abfam, roseab, tag, monkeypatch):
+    # Every tabled module lives on a one-vertex graph, whose idempotent is
+    # the unit, so prefix_ops lists no vertex operator.  Putting the
+    # identity back changes no closure and no endomorphism report.
+    field = parse_field(tag)
+    modules = tabled_modules(loopfam, abfam, roseab, field)
+    for name, M in modules.items():
+        assert len(M.graph.vertices) == 1, name
+        mod = prefix_ops(M, 3)
+        assert not any(op.startswith("v:") for op, _ in mod.ops), name
+        samples = [[seed] for seed in random_seeds(M, field, random.Random(name), 3)]
+        for seeds in ([M.generator_vector()], chain_candidates(M), *samples):
+            bare = span_closure(mod, seeds)
+            full = span_closure(with_identity(mod), seeds)
+            assert bare.echelon.pivots() == full.echelon.pivots(), name
+            assert (bare.dim, bare.overflowed) == (full.dim, full.overflowed), name
+
+    def report(M):
+        r = endomorphism_probe(M, 4)
+        return (r.basis, r.unit_coords, r.table, r.overflowed, r.equations, r.independent)
+
+    bare = {name: report(M) for name, M in modules.items()}
+    def identity_first(space, window, _ops=probes.prefix_ops):
+        return with_identity(_ops(space, window))
+
+    monkeypatch.setattr(probes, "prefix_ops", identity_first)
+    assert bare == {name: report(M) for name, M in modules.items()}
+
+
+def test_staircase_vertex_operators_only_on_several_vertices(roseab, sink3, q, monkeypatch):
+    # On sink3 the vertex operators cut the endomorphisms of L / L.w down:
+    # with them the probe finds 6, without them 8.  roseab lists none.
+    st = SchreierStaircase(sink3, q, [parse_element(sink3, q, "w")], 3)
+    assert [op for op, _ in staircase_ops(st).ops if op.startswith("v:")] == ["v:u", "v:v", "v:w"]
+    report = endomorphism_probe(st)
+    assert (report.dimension, report.equations) == (6, 4)
+
+    def without_vertices(staircase, _ops=staircase_ops):
+        mod = _ops(staircase)
+        mod.ops = [(name, fn) for name, fn in mod.ops if not name.startswith("v:")]
+        return mod
+
+    monkeypatch.setattr(probes, "staircase_ops", without_vertices)
+    assert endomorphism_probe(st).dimension == 8
+    rose = SchreierStaircase(roseab, q, [parse_element(roseab, q, "a* - b*")], 3)
+    assert not any(op.startswith("v:") for op, _ in staircase_ops(rose).ops)
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_a_goal_stopped_closure_holds_its_goal_or_is_whole(loopfam, abfam, roseab, tag):
+    # A walk told to stop at a goal either reached it, or ran to the end
+    # and is the closure built without a goal.
+    field = parse_field(tag)
+    reached = missed = early = 0
+    for name, M in tabled_modules(loopfam, abfam, roseab, field).items():
+        mod = prefix_ops(M, 3)
+        rng = random.Random(name)
+        goals = [M.generator_vector(), *random_seeds(M, field, rng, 2)]
+        for seed in random_seeds(M, field, rng, 6):
+            for goal in goals:
+                stopped = span_closure(mod, [seed], goal=goal)
+                full = span_closure(mod, [seed])
+                if stopped.contains(goal):
+                    reached += 1
+                    early += stopped.dim < full.dim
+                    assert full.contains(goal) and stopped.dim <= full.dim, name
+                else:
+                    missed += 1
+                    assert stopped.echelon.pivots() == full.echelon.pivots(), name
+                    assert (stopped.dim, stopped.overflowed) == (full.dim, full.overflowed), name
+    assert reached and missed and early
+
+
+def test_simplicity_reports_do_not_depend_on_the_goal(loopfam, abfam, roseab, monkeypatch):
+    # Sample closures stop at the generator; a probe whose closures ignore
+    # the goal and always walk to the end reports the same.
+    def reports():
+        out = {}
+        for tag in ("q", "gf:7"):
+            for name, M in tabled_modules(loopfam, abfam, roseab, parse_field(tag)).items():
+                for window in (3, 4):
+                    out[name, tag, window] = simplicity_probe(M, window)
+        return out
+
+    honoured = reports()
+    def walk_to_the_end(mod, seeds, goal=None):
+        return Closure(mod).extend(seeds)
+
+    monkeypatch.setattr(probes, "span_closure", walk_to_the_end)
+    assert honoured == reports()
 
 
 def test_simplicity_probe_computes_each_image_once(rose2, loopfam, abfam, roseab, q, monkeypatch):
@@ -669,11 +791,7 @@ def test_reused_operators_close_like_dense_closures(loopfam, abfam, roseab, tag)
     window = 3
     for name, M in tabled_modules(loopfam, abfam, roseab, field).items():
         mod = prefix_ops(M, window)
-        labels = M.labels(window)
-        rng = random.Random(name)
-        for k in range(4):
-            picks = rng.sample(labels, min(len(labels), rng.randint(1, 3)))
-            seed = {lab: field.of(rng.randint(1, 6)) for lab in picks}
+        for k, seed in enumerate(random_seeds(M, field, random.Random(name), 4, window)):
             cl = span_closure(mod, [seed])
             dense, overflowed = dense_closure(M, [seed], window)
             assert (cl.dim, cl.overflowed) == (dense.rank, overflowed), (name, k)
