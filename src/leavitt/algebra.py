@@ -8,11 +8,13 @@ regular vertices and lands in the canonical Leavitt basis.
 
 Products and normal forms compute on ints: each operand's coefficients are
 encoded once, through the field's native, as integer numerators over the
-lcm of their denominators over Q and as residues over GF(p), and the
-result is decoded once into field scalars.  So a float or another field's
-scalar among the coefficients raises TypeError there.  The parser folds
-each word as one monomial, so reading an expression makes no Element
-products.
+lcm of their denominators over Q and as residues over GF(p).  So a float
+or another field's scalar among the coefficients raises TypeError there.
+A product hands its ints and denominator to normal_form, or to a further
+product, as they are, and decodes them into field scalars only when its
+terms are first read; normal_form decodes its result at once.  The parser
+reads each word in one pass, letter by letter into the two paths of one
+monomial, so reading an expression makes no products at all.
 """
 
 import re
@@ -28,28 +30,43 @@ from .linalg import decode
 class Element:
     """A linear combination of monomials (alpha, beta) meaning alpha.beta*."""
 
-    __slots__ = ("graph", "field", "terms")
+    __slots__ = ("graph", "field", "_terms", "_native")
 
     def __init__(self, graph, field, terms=None):
         self.graph = graph
         self.field = field
-        self.terms = {}
+        self._native = None
+        self._terms = clean = {}
         if terms:
             for mono, coeff in terms.items():
                 self._check_mono(mono)
                 if coeff:
-                    self.terms[mono] = coeff
+                    clean[mono] = coeff
 
     @staticmethod
-    def _trusted(graph, field, terms):
+    def _trusted(graph, field, terms, native=None):
         # An element over a terms dict the caller knows is clean: every
         # monomial's parts share a target and no coefficient is zero.  The
-        # dict is kept, not copied.
+        # dict is kept, not copied.  A product passes terms=None and its
+        # native form instead, (int terms, denominator), equally clean.
         element = object.__new__(Element)
         element.graph = graph
         element.field = field
-        element.terms = terms
+        element._terms = terms
+        element._native = native
         return element
+
+    @property
+    def terms(self):
+        """The monomials and their nonzero field scalars, as a dict.
+
+        A product computes on ints and decodes them here, on the first read.
+        """
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _scalars(self.field, *self._native)
+            self._native = None
+        return terms
 
     def _check_mono(self, mono):
         alpha, beta = mono
@@ -136,8 +153,8 @@ class Element:
         self._compatible(other)
         field = self.field
         p = field.characteristic
-        left, d1 = _numerators(field, self.terms)
-        right, d2 = _numerators(field, other.terms)
+        left, d1 = _numerators(self)
+        right, d2 = _numerators(other)
         roots = _prefix_trie(right)
         terms = {}
         for (a1, b1), n1 in left:
@@ -151,7 +168,7 @@ class Element:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-        return Element._trusted(self.graph, field, _scalars(field, terms, d1 * d2))
+        return Element._trusted(self.graph, field, None, (terms, d1 * d2))
 
     def involution(self):
         """The K-linear anti-automorphism swapping real and ghost parts."""
@@ -182,15 +199,22 @@ class Element:
         return f"Element({self})"
 
 
-def _numerators(field, terms):
-    """The coefficients of terms as ints over one denominator d.
+def _numerators(element):
+    """The element's coefficients as ints over one denominator d.
 
     Returns the (monomial, n) pairs in term order, each coefficient being
-    n / d, and d.  Over Q, d is the lcm of the denominators; over GF(p)
-    the ints are residues and d is 1.  field.native keeps the same-field
-    contract: a float or a scalar of another field raises.
+    n / d, and d.  A product whose terms were never read returns the ints
+    it was computed in.  Otherwise, over Q, d is the lcm of the
+    denominators; over GF(p) the ints are residues and d is 1.
+    field.native keeps the same-field contract: a float or a scalar of
+    another field raises.
     """
-    nums = list(map(field.native, terms.values()))
+    native = element._native
+    if native is not None:
+        terms, d = native
+        return list(terms.items()), d
+    terms = element._terms
+    nums = list(map(element.field.native, terms.values()))
     d = lcm(*[n.denominator for n in nums])
     if d != 1:
         nums = [n.numerator * (d // n.denominator) for n in nums]
@@ -311,7 +335,7 @@ def normal_form(element):
     graph, field = element.graph, element.field
     p = field.characteristic
     # The rewrite only adds and negates, so one denominator serves throughout.
-    work, d = _numerators(field, element.terms)
+    work, d = _numerators(element)
     out = {}
     while work:
         mono, n = work.pop()
@@ -354,23 +378,18 @@ def equals_cohn(x, y):
 # -- element expressions -----------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<id>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\[\]\.\*\+\-]))"
+    r"(?P<num>\d+(?:/\d+)?)|(?P<id>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[\[\]\.\*\+\-])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"bad character in expression at {text[pos:]!r}")
-            break
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m[kind]))
+        if kind == "bad":
+            raise ParseError(f"bad character in expression at {text[m.start():]!r}")
+        tokens.append((kind, m[0]))
     return tokens
 
 
@@ -390,14 +409,16 @@ class _ExprParser:
     def __init__(self, graph, field, tokens):
         self.graph = graph
         self.field = field
-        self.tokens = tokens
+        # The end marker (None, None) is peeked at, and taken only by a
+        # read that then fails.
+        self.tokens = [*tokens, (None, None)]
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -412,8 +433,8 @@ class _ExprParser:
         while True:
             monos, coeff = self.term()
             add_into(self.field, terms, dict.fromkeys(monos, coeff), sign)
-            if self.pos >= len(self.tokens):
-                return Element(self.graph, self.field, terms)
+            if self.peek()[0] is None:
+                return Element._trusted(self.graph, self.field, terms)
             kind, val = self.take()
             if kind != "op" or val not in "+-":
                 raise ParseError(f"expected + or - before {val!r}")
@@ -435,16 +456,51 @@ class _ExprParser:
         return () if mono is None else (mono,), coeff
 
     def word(self):
-        """The word's letters multiplied as one monomial, or None if it vanishes."""
-        mono = self.factor()
-        while self.peek() == ("op", "."):
+        """The word's letters multiplied as one monomial, or None if it vanishes.
+
+        The letters fold left to right into alpha.beta*: a real letter
+        extends alpha, or, when beta is not empty, cancels beta's first
+        arrow or kills the word; a ghost letter extends beta at its start;
+        a vertex letter only checks the junction.  A dead word's remaining
+        letters are still read.
+        """
+        source = end = None  # alpha's source, and the vertex alpha.beta* ends at
+        alpha, ghosts = [], []  # ghosts holds beta's arrows, last first
+        live = True
+        while True:
+            letter, starred = self.factor()
+            if not live:
+                pass
+            elif starred is False and ghosts:
+                # e*.e = r(e) and e*.f = 0
+                live = ghosts.pop() is letter
+                end = letter.target
+            else:
+                if starred is None:
+                    head = tail = letter
+                elif starred:
+                    head, tail = letter.target, letter.source
+                    ghosts.append(letter)
+                else:
+                    head, tail = letter.source, letter.target
+                    alpha.append(letter)
+                if end is None:
+                    source = end = head
+                live = end == head
+                end = tail
+            if self.peek() != ("op", "."):
+                break
             self.take()
-            right = self.factor()
-            if mono is not None:
-                mono = _mono_product(*mono, *right)
-        return mono
+        if not live:
+            return None
+        target = alpha[-1].target if alpha else source
+        return (
+            Path._trusted(source, target, tuple(alpha)),
+            Path._trusted(end, target, tuple(reversed(ghosts))),
+        )
 
     def factor(self):
+        """One letter: (vertex name, None), or (arrow, whether starred)."""
         kind, name = self.take()
         if kind != "id":
             raise ParseError(f"expected a generator name, found {name!r}")
@@ -464,15 +520,11 @@ class _ExprParser:
         if index is None and self.graph.has_vertex(name):
             # Vertex idempotents are fixed by the involution, so the star
             # is accepted and ignored.
-            p = Path.vertex(name)
-            return (p, p)
+            return name, None
         try:
-            arrow = self.graph.arrow(name, index)
+            return self.graph.arrow(name, index), starred
         except PreconditionError as exc:
             raise ParseError(str(exc)) from exc
-        path = Path.of_arrows((arrow,))
-        end = Path.vertex(arrow.target)
-        return (end, path) if starred else (path, end)
 
 
 def parse_element(graph, field, text):

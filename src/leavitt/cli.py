@@ -9,6 +9,7 @@ report whenever randomness is involved.
 """
 
 import argparse
+import functools
 import sys
 
 from .algebra import mono_str, normal_form, parse_element
@@ -179,9 +180,26 @@ def _loop_pair(graph, at):
     raise PreconditionError(f"vertex {at} carries fewer than two loops")
 
 
+# The module options each construction reads.  Any other module option
+# given is refused, so that a misplaced option is not silently ignored.
+_MODULE_OPTIONS = {
+    "chen": ("word",),
+    "cohn": ("at",),
+    "rangaswamy": ("period", "poly"),
+    "mantese": ("at", "weights"),
+    "linear": ("at", "twist", "a", "b"),
+    "hilbert": ("at", "algebra", "phi", "quat"),
+}
+
+
 def _build_module(args, graph, field):
     kind = args.construction
     cap = args.family_cap
+    read = _MODULE_OPTIONS[kind]
+    for options in _MODULE_OPTIONS.values():
+        for name in options:
+            if name not in read and getattr(args, name) is not None:
+                raise UsageError(f"the {kind} construction does not read --{name}")
     if kind == "chen":
         word = _parse_word(graph, args.word)
         return chen_module(graph, field, word, family_cap=cap)
@@ -210,16 +228,17 @@ def _build_module(args, graph, field):
             )
         return mantese_module(graph, field, v, weights, family_cap=cap)
     if kind == "linear":
-        if args.at is not None and (args.arrow_a or args.arrow_b):
+        if args.at is not None and (args.a or args.b):
             raise UsageError("--a and --b replace --at; give one or the other")
-        if args.arrow_a and args.arrow_b:
-            a = _single_arrow(graph, args.arrow_a)
-            b = _single_arrow(graph, args.arrow_b)
-        elif args.arrow_a or args.arrow_b:
+        if args.a and args.b:
+            a = _single_arrow(graph, args.a)
+            b = _single_arrow(graph, args.b)
+        elif args.a or args.b:
             raise UsageError("give both --a and --b, or neither")
         else:
             a, b = _loop_pair(graph, args.at)
-        return linear_example_module(graph, field, a, b, twist=args.twist, family_cap=cap)
+        twist = args.twist or "linear"
+        return linear_example_module(graph, field, a, b, twist=twist, family_cap=cap)
     if kind == "hilbert":
         v = _default_vertex(graph, args.at)
         if args.quat:
@@ -400,7 +419,9 @@ def cmd_module(args, out):
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    # One parser serves every call of main, since parsing leaves it unchanged.
     common = _Parser(add_help=False)
     common.add_argument("--graph", metavar="FILE", help="graph description file")
     common.add_argument("--field", default="q", help="scalar field: q or gf:P")
@@ -422,10 +443,7 @@ def build_parser():
     p_sch.set_defaults(fn=cmd_schreier)
 
     p_mod = sub.add_parser("module", parents=[common], help="build a module and run a probe")
-    p_mod.add_argument(
-        "construction",
-        choices=("chen", "cohn", "rangaswamy", "mantese", "linear", "hilbert"),
-    )
+    p_mod.add_argument("construction", choices=tuple(_MODULE_OPTIONS))
     p_mod.add_argument("--probe", choices=("verify", "simplicity", "chain", "endo"), default="verify")
     p_mod.add_argument("--word", help="chen word: rational:PATH or tm:A,B")
     p_mod.add_argument("--at", metavar="VERTEX", help="base vertex")
@@ -435,9 +453,10 @@ def build_parser():
     p_mod.add_argument("--algebra", metavar="TAG", help="division algebra: ext:c0,..,1 or quat:c,d")
     p_mod.add_argument("--phi", metavar="LIST", help="hilbert substitution: y1=x,y2=1")
     p_mod.add_argument("--quat", nargs=2, metavar=("C", "D"), help="quaternion shorthand for --algebra/--phi")
-    p_mod.add_argument("--twist", choices=("linear", "nonlinear"), default="linear")
-    p_mod.add_argument("--a", dest="arrow_a", metavar="ARROW", help="first loop for linear")
-    p_mod.add_argument("--b", dest="arrow_b", metavar="ARROW", help="second loop for linear")
+    # no default, so that a given --twist can be told from an absent one
+    p_mod.add_argument("--twist", choices=("linear", "nonlinear"), help="twist for linear (default: linear)")
+    p_mod.add_argument("--a", metavar="ARROW", help="first loop for linear")
+    p_mod.add_argument("--b", metavar="ARROW", help="second loop for linear")
     p_mod.set_defaults(fn=cmd_module)
 
     return parser

@@ -258,7 +258,6 @@ def simplicity_probe(space, window, samples=12, seed=0):
     """
     mod = prefix_ops(space, window)
     gen = space.generator_vector()
-    base = span_closure(mod, [gen])
     rng = random.Random(seed)
     labels = space.labels(window)
     family_capped = bool(space.graph.family_names)
@@ -301,6 +300,8 @@ def simplicity_probe(space, window, samples=12, seed=0):
                 "seed": seed,
             }
         inconclusive = True
+    # the generator's own closure is read only by this report
+    base = span_closure(mod, [gen])
     return {
         "verdict": "inconclusive" if inconclusive else "witnessed_simple_up_to",
         "window": window,

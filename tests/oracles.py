@@ -174,6 +174,38 @@ def prefix_comparable_pairs(x, y):
     )
 
 
+# -- letter-by-letter words ------------------------------------------------------
+
+
+def word_by_letters(graph, field, word):
+    """The element a word spells, multiplying one letter monomial at a time.
+
+    A vertex letter v is (v, v), a real letter e is (e, r(e)) and a ghost
+    letter e* is (r(e), e); each '*' toggles the star, and vertices ignore
+    it.  The running monomial is multiplied by each letter in turn, and
+    once it vanishes the rest of the word is still read.
+    """
+    mono, dead = None, False
+    for letter in word.split("."):
+        name = letter.strip().rstrip("*")
+        stars = letter.strip().count("*")
+        index = None
+        if name.endswith("]"):
+            name, _, num = name[:-1].partition("[")
+            index = int(num)
+        if index is None and graph.has_vertex(name):
+            p = Path.vertex(name)
+            right = (p, p)
+        else:
+            arrow = graph.arrow(name, index)
+            path, end = Path(arrow.source, arrow.target, [arrow]), Path.vertex(arrow.target)
+            right = (end, path) if stars % 2 else (path, end)
+        if not dead:
+            mono = right if mono is None else _cohn_mono_product(*mono, *right)
+            dead = mono is None
+    return Element(graph, field, {} if dead else {mono: field.one})
+
+
 # -- randomized rewriting --------------------------------------------------------
 
 

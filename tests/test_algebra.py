@@ -26,6 +26,7 @@ from oracles import (
     prefix_comparable_pairs,
     random_element,
     random_rewrite_normal_form,
+    word_by_letters,
 )
 
 
@@ -230,6 +231,76 @@ def test_normal_form_matches_random_order_rewrite(xy, seed):
     x, y = xy
     for z in (x, x * y):
         assert normal_form(z) == random_rewrite_normal_form(z, random.Random(seed))
+
+
+@settings(deadline=None)
+@given(factor_pairs())
+@example(chosen("rose3", "1/2 x1.x1* - 2/3 x2.x1.x1*", "5/4 x1 + 7/6 v"))
+@example(chosen("sink3", "h*", "e + g.e + u"))
+def test_products_decode_their_integers_on_first_read(xy):
+    # A product keeps its integer coefficients until its terms are read;
+    # what is read, compared, hashed or rewritten is the same either way.
+    x, y = xy
+    field = x.field
+    rebuilt = Element(x.graph, field, dict(cohn_product_pairwise(x, y).terms))
+    read = x * y
+    assert read.terms == rebuilt.terms
+    assert all(type(c) is type(field.one) and field.of(c) is c for c in read.terms.values())
+    assert hash(x * y) == hash(read) == hash(rebuilt)
+    assert x * y == read and rebuilt == x * y and (x * y).is_zero == rebuilt.is_zero
+    assert normal_form(x * y) == normal_form(read) == normal_form(rebuilt)
+    assert (x * y) * x == read * x == cohn_product_pairwise(rebuilt, x)
+    assert x * (y * x) == cohn_product_pairwise(x, cohn_product_pairwise(y, x))
+
+
+@st.composite
+def worded_sums(draw):
+    """A graph, a field and (coefficient, word) summands over its letters.
+
+    Letters are vertices, arrows and family members f[0] to f[3], each
+    with zero to three stars, so bare and starred vertices, double stars
+    and words that vanish all turn up.
+    """
+    graph = PRODUCT_GRAPHS[draw(st.sampled_from(sorted(PRODUCT_GRAPHS)))]
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    names = [*graph.vertices, *(a.name for a in graph.plain_arrows)]
+    names += [f"{f}[{k}]" for f in graph.family_names for k in range(4)]
+    letter = st.builds(lambda n, k: n + "*" * k, st.sampled_from(names), st.integers(0, 3))
+    word = st.lists(letter, min_size=1, max_size=7).map(".".join)
+    summand = st.tuples(st.sampled_from(COEFFS), word)
+    return graph, field, draw(st.lists(summand, min_size=1, max_size=4))
+
+
+def spelled(name, *summands, tag="q"):
+    return PRODUCT_GRAPHS[name], parse_field(tag), list(summands)
+
+
+@settings(deadline=None)
+@given(worded_sums())
+@example(spelled("sink3", ("1", "u.e.v*.h.w"), ("2", "h.e"), ("-1", "e*.u.e")))
+@example(spelled("sink3", ("1/2", "h*.g"), ("3", "g*.e*.e.g.u"), tag="gf:7"))
+@example(spelled("rose3", ("1", "x1.x2.x2*.x1*.x1.x3*"), ("-2/3", "x1*.x1**.x2")))
+@example(spelled("abfam", ("1", "a.f[3]*.f[3].b**"), ("5/4", "f[3]*.f[2]"), ("1", "v*.a***.v")))
+def test_parser_folds_words_like_letter_by_letter_products(case):
+    graph, field, summands = case
+    text = ""
+    expected = Element.zero(graph, field)
+    for coeff, word in summands:
+        assert parse_element(graph, field, word) == word_by_letters(graph, field, word), word
+        sign = "- " if coeff.startswith("-") else "+ "
+        text += f" {sign}{coeff.lstrip('-')} {word}"
+        expected = expected + word_by_letters(graph, field, word).scale(field.parse(coeff))
+    assert parse_element(graph, field, text) == expected
+
+
+def test_a_float_operand_still_raises_at_the_product(rose2, q):
+    x1 = parse_path(rose2, "x1")
+    v = Path.vertex("v")
+    y = el(rose2, q, "x1* + 1/2 v")
+    bad = Element(rose2, q, {(x1, v): 0.5})
+    for left, right in ((bad, y), (y, bad), (y * y, bad), (bad, y * y)):
+        with pytest.raises(TypeError):
+            left * right
 
 
 def test_product_composes_only_prefix_comparable_pairs(rose3, q, monkeypatch):

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from leavitt import equals_cohn, parse_element, parse_field, parse_graph
-from leavitt.cli import main
+from leavitt.cli import build_parser, main
 
 from conftest import LOOPFAM, ROSE2, ROSEAB, SINK3
 
@@ -645,9 +645,46 @@ def test_linear_with_at_and_named_loops_exits_1(tmp_path, loops):
 def test_a_period_that_is_no_closed_path_exits_2(tmp_path, construction):
     graph = tmp_path / "sink3.graph"
     graph.write_text(SINK3)
-    code, out, err = run_cli(["module", "--graph", str(graph), "--at", "u", *construction])
+    code, out, err = run_cli(["module", "--graph", str(graph), *construction])
     assert (code, out) == (2, "")
     assert "is not a closed nonempty path" in err
+
+
+@pytest.mark.parametrize(
+    "construction, option",
+    [
+        (["cohn", "--weights", "a=1"], "--weights"),
+        (["chen", "--word", "rational:a", "--at", "v"], "--at"),
+        (["rangaswamy", "--period", "a", "--poly", "1,1", "--weights", "a=1"], "--weights"),
+        (["hilbert", "--quat", "1", "1", "--word", "rational:a"], "--word"),
+        (["mantese", "--weights", "a=1,b=1", "--twist", "linear"], "--twist"),
+        (["linear", "--a", "a", "--b", "b", "--period", "a"], "--period"),
+        (["cohn", "--a", "a"], "--a"),
+    ],
+)
+def test_constructions_refuse_options_they_do_not_read(roseab_file, construction, option):
+    code, out, err = run_cli(["module", "--graph", roseab_file, *construction])
+    assert (code, out) == (1, "")
+    assert f"the {construction[0]} construction does not read {option}\n" in err
+
+
+def test_a_given_default_twist_is_read(roseab_file):
+    argv = ["module", "--graph", roseab_file, "linear", "--a", "a", "--b", "b"]
+    given = run_cli([*argv, "--twist", "linear"])
+    assert given == run_cli(argv) and given[0] == 0
+    assert "twist: linear\n" in given[1]
+
+
+def test_the_parser_is_built_once_and_reused(rose2_file):
+    # main parses every call with one parser; a call that fails on usage
+    # leaves nothing behind that changes the next call's answer.
+    assert build_parser() is build_parser()
+    good = ["module", "--graph", rose2_file, "chen", "--word", "rational:x1", "--degree", "3"]
+    alone = run_cli(good)
+    assert alone[0] == 0
+    assert run_cli(["module", "--graph", rose2_file, "cohn", "--word", "tm:x1,x2"])[0] == 1
+    assert run_cli(["module", "--graph", rose2_file, "chen", "--degree", "-1"])[0] == 1
+    assert run_cli(good) == alone
 
 
 def test_precondition_errors_exit_3(loopfam_file):

@@ -747,6 +747,42 @@ def test_simplicity_reports_do_not_depend_on_the_goal(loopfam, abfam, roseab, mo
     assert honoured == reports()
 
 
+def test_simplicity_probe_closes_the_generator_only_for_its_report(
+    loopfam, abfam, roseab, monkeypatch
+):
+    # Only a witnessed_simple_up_to or inconclusive report reads the
+    # generator's own closure, so a proper_submodule verdict never builds
+    # it; closing the generator first, before any sample, changes no report.
+    goal_free = []
+
+    def counted(mod, seeds, goal=None, _closure=probes.span_closure):
+        if goal is None:
+            goal_free.append(seeds)
+        return _closure(mod, seeds, goal)
+
+    monkeypatch.setattr(probes, "span_closure", counted)
+    reports, verdicts = [], Counter()
+    for tag in ("q", "gf:7"):
+        for name, M in tabled_modules(loopfam, abfam, roseab, parse_field(tag)).items():
+            for window in (3, 4):
+                goal_free.clear()
+                report = simplicity_probe(M, window)
+                reports.append((name, M, window, report))
+                verdicts[report["verdict"]] += 1
+                proper = report["verdict"] == "proper_submodule"
+                assert goal_free == ([] if proper else [[M.generator_vector()]]), name
+    assert verdicts["proper_submodule"] and verdicts["witnessed_simple_up_to"]
+
+    def generator_first(space, window, _ops=probes.prefix_ops):
+        mod = _ops(space, window)
+        span_closure(mod, [space.generator_vector()])
+        return mod
+
+    monkeypatch.setattr(probes, "prefix_ops", generator_first)
+    for name, M, window, report in reports:
+        assert simplicity_probe(M, window) == report, name
+
+
 def test_simplicity_probe_computes_each_image_once(rose2, loopfam, abfam, roseab, q, monkeypatch):
     # The probe's closures share one ModuleOps, whose arrow and ghost
     # operators table their images: each (operator, label) pair runs the
