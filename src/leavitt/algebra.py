@@ -229,15 +229,14 @@ def _scalars(field, terms, d):
 
 
 def _mono_product(a1, b1, a2, b2):
-    """(a1.b1*)(a2.b2*) under ghost-kills-real, or None when it vanishes."""
-    rest = a2.strip_prefix(b1)
-    if rest is not None:
-        # b1* absorbs an initial segment of a2.
-        return (a1.concat(rest), b2)
-    rest = b1.strip_prefix(a2)
-    if rest is not None:
-        return (a1, b2.concat(rest))
-    return None
+    """(a1.b1*)(a2.b2*) for b1 and a2 prefix-comparable, as _comparable pairs them.
+
+    The shorter cancels the start of the longer, whose rest joins a1 or b2.
+    """
+    n, m = len(b1.arrows), len(a2.arrows)
+    if n <= m:
+        return (Path._trusted(a1.source, a2.target, a1.arrows + a2.arrows[n:]), b2)
+    return (a1, Path._trusted(b2.source, b1.target, b2.arrows + b1.arrows[m:]))
 
 
 def _prefix_trie(terms):

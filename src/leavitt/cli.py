@@ -422,27 +422,29 @@ def cmd_module(args, out):
 @functools.cache
 def build_parser():
     # One parser serves every call of main, since parsing leaves it unchanged.
-    common = _Parser(add_help=False)
-    common.add_argument("--graph", metavar="FILE", help="graph description file")
-    common.add_argument("--field", default="q", help="scalar field: q or gf:P")
-    common.add_argument("--degree", type=_count_from(0), default=6, metavar="N", help="degree bound")
-    common.add_argument("--samples", type=_count_from(1), default=12, metavar="N", help="randomized sample count")
-    common.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
-    common.add_argument("--format", choices=("text", "kv"), default="text", help="report format")
-    common.add_argument("--family-cap", type=_count_from(0), default=2, metavar="N", help="arrow family truncation")
+    # Each subcommand takes only the flags it reads, so argparse refuses the rest.
+    inputs = _Parser(add_help=False)
+    inputs.add_argument("--graph", metavar="FILE", help="graph description file")
+    inputs.add_argument("--field", default="q", help="scalar field: q or gf:P")
+    inputs.add_argument("--format", choices=("text", "kv"), default="text", help="report format")
+    staircase = _Parser(add_help=False, parents=[inputs])
+    staircase.add_argument("--degree", type=_count_from(0), default=6, metavar="N", help="degree bound")
+    staircase.add_argument("--family-cap", type=_count_from(0), default=2, metavar="N", help="arrow family truncation")
+    staircase.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
 
     parser = _Parser(prog="leavitt", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_nf = sub.add_parser("nf", parents=[common], help="normal form of an element expression")
+    p_nf = sub.add_parser("nf", parents=[inputs], help="normal form of an element expression")
     p_nf.add_argument("expression", help="element expression, e.g. 'x1.x1* + x2.x2*'")
     p_nf.set_defaults(fn=cmd_nf)
 
-    p_sch = sub.add_parser("schreier", parents=[common], help="staircase report for a left ideal")
+    p_sch = sub.add_parser("schreier", parents=[staircase], help="staircase report for a left ideal")
     p_sch.add_argument("ideal", metavar="FILE", help="generator list file")
     p_sch.set_defaults(fn=cmd_schreier)
 
-    p_mod = sub.add_parser("module", parents=[common], help="build a module and run a probe")
+    p_mod = sub.add_parser("module", parents=[staircase], help="build a module and run a probe")
+    p_mod.add_argument("--samples", type=_count_from(1), default=12, metavar="N", help="randomized sample count")
     p_mod.add_argument("construction", choices=tuple(_MODULE_OPTIONS))
     p_mod.add_argument("--probe", choices=("verify", "simplicity", "chain", "endo"), default="verify")
     p_mod.add_argument("--word", help="chen word: rational:PATH or tm:A,B")

@@ -157,17 +157,6 @@ class Path:
             raise PreconditionError(f"cannot prepend {arrow} to {self}")
         return Path._trusted(arrow.source, self.target, (arrow,) + self.arrows)
 
-    def strip_prefix(self, prefix):
-        """Return the remainder if ``prefix`` is an initial segment, else None."""
-        head = prefix.arrows
-        n = len(head)
-        arrows = self.arrows
-        if n > len(arrows) or prefix.source != self.source:
-            return None
-        if arrows[:n] != head:
-            return None
-        return Path._trusted(prefix.target, self.target, arrows[n:])
-
     def drop_last(self):
         if not self.arrows:
             raise PreconditionError("cannot drop an arrow from a vertex path")
@@ -490,24 +479,23 @@ class GeneratorTail:
     prefixes with offsets a faithful labeling.
     """
 
-    __slots__ = ("name", "fn", "start", "offset", "aperiodic")
+    __slots__ = ("name", "fn", "offset", "aperiodic")
 
-    def __init__(self, name, fn, start, offset=0, aperiodic=False):
+    def __init__(self, name, fn, offset=0, aperiodic=False):
         self.name = name
         self.fn = fn
-        self.start = start
         self.offset = offset
         self.aperiodic = aperiodic
 
     @property
     def source(self):
-        return self.arrow_at(0).source if self.offset >= 0 else self.start
+        return self.arrow_at(0).source
 
     def arrow_at(self, i):
         return self.fn(self.offset + i)
 
     def shifted(self, k):
-        return GeneratorTail(self.name, self.fn, self.start, self.offset + k, self.aperiodic)
+        return GeneratorTail(self.name, self.fn, self.offset + k, self.aperiodic)
 
     def __eq__(self, other):
         return (
@@ -610,9 +598,8 @@ def periodic_word(cycle, prefix=None):
 
 def generator_word(name, fn, start_vertex, aperiodic=False, prefix=None):
     """A word whose tail is drawn from an opaque index-to-arrow rule."""
-    tail = GeneratorTail(name, fn, start_vertex, 0, aperiodic)
-    probe = tail.arrow_at(0)
-    if probe.source != start_vertex:
+    tail = GeneratorTail(name, fn, 0, aperiodic)
+    if tail.source != start_vertex:
         raise PreconditionError("generator does not start at the stated vertex")
     if prefix is None:
         prefix = Path.vertex(start_vertex)

@@ -669,12 +669,12 @@ def annihilator_staircase(space, vec, degree):
 
 
 def annihilator_member_fn(space, vec):
-    """Membership oracle for the annihilator of vec, exact on ghost elements."""
+    """Membership oracle for the annihilator of vec: "in" or "out", exact on ghost elements."""
     vec = encode(space.field, vec)
 
     def member(element):
         element_to_ghost(element)  # refuses a monomial with a real arrow
-        return not space._element(element, vec)
+        return "out" if space._element(element, vec) else "in"
 
     return member
 

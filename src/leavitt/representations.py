@@ -821,13 +821,23 @@ def _split_period_product(periods_by_first, v, path):
     return nu, rest
 
 
+def _ghost_word_image(arrows, images, one):
+    """The image of (a1...ak)* = ak*...a1*, later arrows multiplying from the left."""
+    acc = one
+    for arrow in arrows:
+        img = images.get(arrow)
+        if img is None:
+            raise PreconditionError(f"no image given for {arrow}")
+        acc = img * acc
+    return acc
+
+
 def substitute(element, images, algebra=None):
     """Evaluate a purely ghost element under a ghost-arrow substitution.
 
     images maps arrows to algebra elements; vertex ids may also appear and
-    default to the algebra unit.  A ghost word (b1...bk)* = bk*...b1* is
-    evaluated with later arrows multiplying from the left, which is what
-    makes the assignment a homomorphism on the dual subalgebra.
+    default to the algebra unit.  Later arrows multiply from the left, which
+    is what makes the assignment a homomorphism on the dual subalgebra.
     """
     if algebra is None:
         for x in images.values():
@@ -842,12 +852,7 @@ def substitute(element, images, algebra=None):
         if beta.is_vertex:
             acc = images.get(beta.source, algebra.one)
         else:
-            acc = algebra.one
-            for arrow in beta.arrows:
-                img = images.get(arrow)
-                if img is None:
-                    raise PreconditionError(f"no image given for {arrow}")
-                acc = img * acc
+            acc = _ghost_word_image(beta.arrows, images, algebra.one)
         out = out + acc.scale(coeff)
     return out
 
@@ -881,23 +886,16 @@ def mantese_rangaswamy_presentation(
         periods_by_first[delta.arrows[0]] = delta
     if len(images) != len(periods):
         raise PreconditionError("need exactly one image per period")
+    # A period's image sits on its first arrow; its other arrows map to 1.
+    one = algebra.one
     image_of = {}
     for delta, x in zip(periods, images):
         if x.algebra is not algebra:
             raise PreconditionError("images must live in the given algebra")
         if x.is_zero:
             raise PreconditionError(f"the image of {delta} must be nonzero")
+        image_of.update(dict.fromkeys(delta.arrows, one))
         image_of[delta.arrows[0]] = x
-
-    def ghost_image(nu):
-        """Image of nu* under the substitution, factors in product order."""
-        out = algebra.one
-        i = 0
-        while i < len(nu.arrows):
-            delta = periods_by_first[nu.arrows[i]]
-            out = image_of[delta.arrows[0]] * out
-            i += len(delta)
-        return out
 
     rank = {label: i for i, label in enumerate(algebra.labels)}
     ech = SpanEchelon(field, rank.get)
@@ -918,7 +916,8 @@ def mantese_rangaswamy_presentation(
         kept.add(p)
         nu, rest = split
         if not rest:
-            rel = ech.relation(encode(field, ghost_image(p).coords), p)
+            image = _ghost_word_image(p.arrows, image_of, one)
+            rel = ech.relation(encode(field, image.coords), p)
             if rel is None:
                 pivot_products.add(p)
             else:

@@ -60,16 +60,14 @@ class SchreierStaircase:
         self._echelon = SpanEchelon(field, ghost_sort_key)
         self.rows = self._echelon.rows
         self._build()
-        self._universe = graph.all_paths(degree, family_cap)
         pivots = set(self.rows)
-        self.coset = [p for p in self._universe if p not in pivots]
-        self.exhaustive = not graph.family_names
+        self.coset = [p for p in graph.all_paths(degree, family_cap) if p not in pivots]
         gen_degs = [
             max(len(beta) for beta in vec) for vec in self._generators
         ] or [0]
         basis_deg = max((len(p) for p in self.coset), default=-1)
         self.stabilized = (
-            self.exhaustive and max(gen_degs) <= degree and basis_deg < degree
+            not graph.family_names and max(gen_degs) <= degree and basis_deg < degree
         )
 
     # -- construction ---------------------------------------------------
@@ -181,20 +179,17 @@ def power_ideal_generators(graph, field, level, family_cap=2):
 def is_open(graph, field, member_fn, level, family_cap=2):
     """Whether a left ideal contains the depth ``level`` power ideal.
 
-    member_fn maps a ghost Element to "in", "out", or "unknown" (True and
-    False are accepted as aliases).  The verdict is "open" only when every
-    generator is certified in, "not_open" when some generator is certified
-    out, and "unknown" otherwise.  On graphs with arrow families only the
-    capped slice of generators is examined, so "open" is then a bounded
-    claim.
+    member_fn maps a ghost Element to "in", "out" or "unknown": a
+    staircase's membership, the oracle of annihilator_member_fn, or
+    chen_annihilator_membership with its word fixed.  The verdict is
+    "open" only when every generator is certified in, "not_open" when some
+    generator is certified out, and "unknown" otherwise.  On graphs with
+    arrow families only the capped slice of generators is examined, so
+    "open" is then a bounded claim.
     """
     verdicts = []
     for gen in power_ideal_generators(graph, field, level, family_cap):
         v = member_fn(gen)
-        if v is True:
-            v = "in"
-        if v is False:
-            v = "out"
         if v == "out":
             return ("not_open", gen)
         verdicts.append(v)

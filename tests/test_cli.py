@@ -327,6 +327,47 @@ def test_module_hilbert_quaternion_endo(roseab_file):
     assert report["table_2_1"] == "0,0,0,1"
 
 
+def test_a_broken_action_fails_verification_and_exits_4(roseab_file, monkeypatch):
+    # b* acting by zero breaks both relations; the report lists the failures
+    from leavitt import representations
+
+    act_ghost = representations.PrefixModule.act_ghost
+
+    def drop_b(self, arrow, label):
+        return {} if arrow.name == "b" else act_ghost(self, arrow, label)
+
+    monkeypatch.setattr(representations.ManteseModule, "act_ghost", drop_b)
+    graph = parse_graph(ROSEAB)
+    a, b = graph.arrow("a"), graph.arrow("b")
+    space = representations.mantese_module(graph, parse_field("q"), "v", {a: 1, b: 1})
+    result = representations.verify_representation(space, 2)
+    assert not result["ok"]
+    assert {failure[0] for failure in result["failures"]} == {"ck1", "ck2"}
+    argv = ["module", "mantese", "--graph", roseab_file, "--at", "v", "--weights", "a=1,b=1"]
+    code, out, _ = run_cli([*argv, "--degree", "2", "--format", "kv"])
+    assert code == 4
+    assert "verify=fail\nfailure_1=ck1 b b vbar\n" in out
+
+
+def test_mantese_without_at_takes_the_source_of_its_weights(roseab_file):
+    code, out, _ = run_cli(
+        ["module", "mantese", "--graph", roseab_file, "--weights", "a=1,b=1", "--degree", "2"]
+    )
+    assert code == 0
+    assert lines_of(out)["vertex"] == "v"
+
+
+def test_hilbert_reads_scalar_images_and_reports_its_exempt_vertex(roseab_file):
+    argv = ["module", "hilbert", "--graph", roseab_file, "--algebra", "ext:1,0,1"]
+    code, out, _ = run_cli([*argv, "--phi", "a=x,b=2", "--degree", "2", "--format", "kv"])
+    assert code == 0
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert report["phi"] == "a:x,b:2"
+    assert report["variant"] == "regular"
+    assert report["exempt_vertices"] == "v"
+    assert report["verify"] == "pass"
+
+
 def test_module_nonlinear_endo(roseab_file):
     code, out, _ = run_cli(
         [
@@ -514,6 +555,23 @@ def test_usage_errors_exit_1(rose2_file):
         )
         assert code == 1 and not out
         assert flag in err
+
+
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, rose2_file, roseab_file):
+    for flag, value in (("--samples", "3"), ("--degree", "2"), ("--family-cap", "5"), ("--seed", "9")):
+        code, out, err = run_cli(["nf", "--graph", rose2_file, flag, value, "v"])
+        assert (code, out) == (1, "")
+        assert flag in err
+    ideal = tmp_path / "quat.ideal"
+    ideal.write_text(QUAT_IDEAL)
+    code, out, err = run_cli(["schreier", "--graph", roseab_file, "--samples", "3", str(ideal)])
+    assert (code, out) == (1, "")
+    assert "--samples" in err
+    # the flags each one reads still parse, and schreier still reports its seed
+    assert run_cli(["nf", "--graph", rose2_file, "--field", "gf:7", "--format", "kv", "v"])[0] == 0
+    code, out, _ = run_cli(["schreier", "--graph", roseab_file, "--seed", "9", "--degree", "3", str(ideal)])
+    assert code == 0
+    assert lines_of(out)["seed"] == "9"
 
 
 def test_large_prime_field(rose2_file):

@@ -1,11 +1,14 @@
 """The library runs on the standard library alone.
 
-Both checks read source text only, so they hold offline and need nothing
-installed: every import in src/leavitt is relative or names a standard
-library module, and pyproject.toml declares no runtime dependency.
+The first two checks read source text only, so they hold offline and need
+nothing installed: every import in src/leavitt is relative or names a
+standard library module, and pyproject.toml declares no runtime
+dependency.  The last checks that the console script pyproject.toml
+declares names a callable.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -34,3 +37,13 @@ def test_pyproject_declares_no_runtime_dependency():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.M | re.S)
     assert project is not None
     assert re.findall(r"^dependencies\s*=.*$", project.group(1), re.M) == ["dependencies = []"]
+
+
+def test_console_script_names_a_callable():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert scripts is not None
+    entries = re.findall(r'^(\S+)\s*=\s*"([\w.]+):(\w+)"$', scripts.group(1), re.M)
+    assert entries == [("leavitt", "leavitt.cli", "main")]
+    for _, module, name in entries:
+        assert callable(getattr(importlib.import_module(module), name))

@@ -156,6 +156,25 @@ def test_tail_equivalence_distinguishes_words(rose2):
     assert tail_equivalent(wa, wa.prepend(parse_path(rose2, "x2").arrows[0]))
 
 
+def test_opaque_rules_leave_periodicity_and_tails_unknown(rose2):
+    x1, x2 = sorted(rose2.out_arrows("v"), key=lambda a: a.key)
+    const = generator_word("const", lambda i: x1, "v")
+    assert classify_word(const) == (
+        "unknown", "window matches period candidates [(0, 1), (1, 1), (2, 1)]"
+    )
+    # the Thue-Morse rule under another name, not registered aperiodic
+    tm = thue_morse_word(rose2, x1, x2)
+    plain = generator_word("tm-plain", tm.tail.fn, "v")
+    assert classify_word(plain) == (
+        "unknown", "no period within bounds, generator not registered aperiodic"
+    )
+    c1, c12 = (periodic_word(parse_path(rose2, text)) for text in ("x1", "x1.x2"))
+    assert tail_equivalent(c1, c12) is False
+    assert tail_equivalent(tm, plain) == "unknown"
+    assert tail_equivalent(c1, tm) is False
+    assert tail_equivalent(c1, plain) == "unknown"
+
+
 # two loops at v, a loop at w, and a two-arrow cycle through both
 TWO_CYCLES = parse_graph(
     "[vertices]\nv\nw\n[arrows]\na: v -> v\nb: v -> v\nc: v -> w\nd: w -> v\ne: w -> w\n"
@@ -207,12 +226,10 @@ def test_path_operations_build_equal_values(ws, data):
     assert hash(full) == object.__hash__(full)
     cut = data.draw(st.integers(0, len(word)))
     head, tail = Path("v", "v", word[:cut]), Path("v", "v", word[cut:])
-    assert head.concat(tail).strip_prefix(head) == tail
     built = [
         head.concat(tail),
         Path("v", "v", word + (a,)).drop_last(),
         Path("v", "v", (a,) + word).drop_first(),
-        Path("v", "v", (a,) + word).strip_prefix(Path.of_arrows((a,))),
     ]
     if word:
         built.append(Path("v", "v", word[1:]).prepend(word[0]))
@@ -257,10 +274,6 @@ def test_arrows_and_paths_hash_by_identity():
 def test_operations_move_base_points(sink3):
     e, g, h = (sink3.arrow(n) for n in "egh")
     egh = Path.of_arrows((e, g, e, h))
-    _same_value(egh.strip_prefix(Path.of_arrows((e,))), Path.of_arrows((g, e, h)))
-    _same_value(egh.strip_prefix(Path.vertex("u")), egh)
-    assert egh.strip_prefix(Path.vertex("v")) is None
-    assert egh.strip_prefix(Path.of_arrows((e, h))) is None
     _same_value(egh.drop_first(), Path.of_arrows((g, e, h)))
     _same_value(egh.drop_last(), Path.of_arrows((e, g, e)))
     _same_value(Path.of_arrows((h,)).drop_first(), Path.vertex("w"))
@@ -339,7 +352,6 @@ def test_every_construction_returns_the_interned_path(ws, data):
         Path.vertex("v").concat(full),
         Path("v", "v", word + (a,)).drop_last(),
         Path("v", "v", (a,) + word).drop_first(),
-        Path("v", "v", (a,) + word).strip_prefix(Path.of_arrows([a])),
         pickle.loads(pickle.dumps(full)),
         copy.deepcopy(full),
     ]
@@ -350,7 +362,7 @@ def test_every_construction_returns_the_interned_path(ws, data):
     else:
         built.append(Path.vertex("v"))
     assert all(p is full for p in built)
-    assert full.strip_prefix(head) is tail and tail.prepend(a).drop_first() is tail
+    assert tail.prepend(a).drop_first() is tail
     assert (Path("v", "v", other) is full) == (other == word)
 
 

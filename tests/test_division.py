@@ -64,6 +64,17 @@ def test_is_irreducible_examples(q):
     assert is_irreducible(q, [q.of(1), q.of(-5), q.of(6)]) is False  # (2x - 1)(3x - 1)
     assert is_irreducible(q, [q.of(-2), q.zero, q.zero, q.one]) is True  # x^3 - 2
     assert is_irreducible(q, [q.of(1000000007), q.zero, q.one]) is True
+
+
+def test_is_irreducible_over_q_past_degree_three(q):
+    def poly(*coeffs):
+        return [q.of(c) for c in coeffs]
+
+    assert is_irreducible(q, poly(1, 1, 0, 0, 1)) is True  # x^4 + x + 1, irreducible mod 2
+    assert is_irreducible(q, poly(1, 0, 0, 0, 1)) is None  # x^4 + 1, reducible mod every prime
+    assert is_irreducible(q, poly(0, 1, 1)) is False  # x^2 + x, root 0
+    # 735134400 (x^2 + 1): the divisor pairs pass _ROOT_SCAN_CAP
+    assert is_irreducible(q, poly(735134400, 0, 735134400)) is None
     # (x - 1000003)(x^2 + 1): the root is the large divisor of a prime a0
     assert is_irreducible(q, [q.of(c) for c in (-1000003, 1, -1000003, 1)]) is False
     # past the divisor scan cap the rational root test does not run
