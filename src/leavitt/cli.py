@@ -41,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse binds the value of an unknown flag as a positional when it
+        # can, which leaves the real positional over; so name the leftover
+        # flags alone, and every leftover only when none is a flag.
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            flags = [word for word in extra if word.startswith("-")]
+            self.error(f"unrecognized arguments: {' '.join(flags or extra)}")
+        return args
+
 
 def _count_from(low):
     """argparse type: an integer no smaller than low."""
@@ -278,6 +288,14 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
+def _add_values(report, values, keys):
+    """Add the keys that values holds, in order: bools as yes/no, less a _str suffix."""
+    for key in keys:
+        if key in values:
+            value = values[key]
+            report.add(key.removesuffix("_str"), _yesno(value) if isinstance(value, bool) else value)
+
+
 # -- subcommands ---------------------------------------------------------------------
 
 
@@ -334,8 +352,7 @@ def cmd_schreier(args, out):
 def _probe_verify(space, args, report):
     result = verify_representation(space, args.degree)
     report.add("degree", args.degree)
-    report.add("labels", result["labels"])
-    report.add("checked", result["checked"])
+    _add_values(report, result, ("labels", "checked"))
     if result["exempt"]:
         report.add("exempt_vertices", ",".join(str(v) for v in result["exempt"]))
     report.add("verify", "pass" if result["ok"] else "fail")
@@ -346,26 +363,16 @@ def _probe_verify(space, args, report):
 
 def _probe_simplicity(space, args, report):
     result = simplicity_probe(space, args.degree, samples=args.samples, seed=args.seed)
-    for key in (
-        "verdict", "window", "samples", "seed", "dim", "submodule_dim", "witness_str",
-        "overflowed", "family_capped",
-    ):
-        if key in result:
-            value = result[key]
-            report.add(key.removesuffix("_str"), _yesno(value) if isinstance(value, bool) else value)
+    _add_values(report, result, ("verdict", "window", "samples", "seed", "dim", "submodule_dim",
+                                 "witness_str", "overflowed", "family_capped"))
     return 0
 
 
 def _probe_chain(space, args, report):
     candidates = chain_candidates(space)
     result = composition_probe(space, candidates, args.degree)
-    report.add("window", result["window"])
-    report.add("length", result["length"])
-    report.add("strict", _yesno(result["strict"]))
-    report.add("dim", result["dim"])
-    report.add("exhausts_degree", result["exhausts_degree"])
-    report.add("overflowed", _yesno(result["overflowed"]))
-    report.add("family_capped", _yesno(result["family_capped"]))
+    _add_values(report, result, ("window", "length", "strict", "dim", "exhausts_degree",
+                                 "overflowed", "family_capped"))
     for i, factor in enumerate(result["factors"], start=1):
         report.add(
             f"factor_{i}",
@@ -379,13 +386,8 @@ def _probe_chain(space, args, report):
 
 def _probe_endo(space, args, report):
     result = endomorphism_probe(space, degree=args.degree)
-    report.add("dimension", result.dimension)
-    report.add("window", result.window)
-    report.add("variable_degree", result.variable_degree)
-    report.add("equations", result.equations)
-    report.add("independent", result.independent)
-    report.add("table_closes", _yesno(result.table_closes))
-    report.add("overflowed", _yesno(result.overflowed))
+    _add_values(report, vars(result), ("dimension", "window", "variable_degree", "equations",
+                                       "independent", "table_closes", "overflowed"))
     if result.unit_coords is not None:
         report.add("unit", ",".join(str(c) for c in result.unit_coords))
     if result.table is not None:

@@ -15,10 +15,11 @@ once, on first request, and every later request returns the same dict, so
 callers read operator images and never write them.
 
 The probes skip work whose result is already known: a graph with one
-vertex gets no vertex operator, since its idempotent is the unit; the run
-of whole degrees a closure holds is read off its pivots; and a sample
-closure stops walking once it holds the generator, which is all the
-simplicity probe asks of it then.
+vertex gets no vertex operator, since its idempotent is the unit (one rule,
+_vertex_ops, lists them for both kinds of module); the run of whole
+degrees a closure holds is read off its pivots; and a sample closure stops
+walking once it holds the generator, which is all the simplicity probe
+asks of it then.
 
 Every public function and method takes and returns field scalars: vectors
 are encoded once as they come in, as Closure seeds and contains
@@ -74,12 +75,20 @@ class ModuleOps:
 EMPTY_IMAGE = {}
 
 
+def _vertex_ops(graph, act):
+    """The operator label -> act(v, label) of each vertex v, sorted by name.
+
+    They are listed only on a graph with two or more vertices: the
+    idempotent of a lone vertex is the unit, so its operator would send
+    every vector to itself, and no span or equation could change.
+    """
+    if len(graph.vertices) < 2:
+        return []
+    return [(f"v:{v}", lambda label, v=v: act(v, label)) for v in sorted(graph.vertices)]
+
+
 def prefix_ops(space, window):
     """Operators of a prefix module: vertices, arrows, ghost arrows.
-
-    The vertex operators are listed only on a graph with two or more
-    vertices: the idempotent of a lone vertex is the unit, so its operator
-    would send every vector to itself, and no span or equation could change.
 
     Each arrow and ghost operator tables its images, with the window guard
     applied as an entry is stored.  The tables live as long as the returned
@@ -106,10 +115,7 @@ def prefix_ops(space, window):
 
         return name, fn
 
-    ops = []
-    if len(space.graph.vertices) > 1:
-        for v in sorted(space.graph.vertices):
-            ops.append((f"v:{v}", lambda lab, v=v: space.act_vertex(v, lab)))
+    ops = _vertex_ops(space.graph, space.act_vertex)
     arrows = space.active_arrows()
     ops += [tabled(str(a), space.act_arrow, a) for a in arrows]
     ops += [tabled(f"{a}*", space.act_ghost, a) for a in arrows]
@@ -125,17 +131,9 @@ def prefix_ops(space, window):
 
 
 def staircase_ops(staircase):
-    """Operators of the quotient by a staircase ideal, a ghost side module.
-
-    As in prefix_ops, the vertex operators are listed only on a graph with
-    two or more vertices.
-    """
+    """Operators of the quotient by a staircase ideal, a ghost side module."""
     graph, field = staircase.graph, staircase.field
-
-    ops = []
-    if len(graph.vertices) > 1:
-        for v in sorted(graph.vertices):
-            ops.append((f"v:{v}", lambda p, v=v: {p: 1} if p.target == v else {}))
+    ops = _vertex_ops(graph, lambda v, p: {p: 1} if p.target == v else {})
     for a in graph.all_arrows(staircase.family_cap):
 
         def ghost(p, a=a):
@@ -146,10 +144,7 @@ def staircase_ops(staircase):
             return encode(field, staircase.reduce({p.concat(a): field.one}))
 
         ops.append((f"{a}*", ghost))
-    gen = {}
-    for v in sorted(graph.vertices):
-        gen[Path.vertex(v)] = field.one
-    gen = staircase.reduce(gen)
+    gen = staircase.reduce({Path.vertex(v): field.one for v in graph.vertices})
     if not gen:
         raise PreconditionError("the unit maps to zero in this quotient")
     return ModuleOps(
@@ -269,12 +264,7 @@ def simplicity_probe(space, window, samples=12, seed=0):
         m = {lab: _random_nonzero_scalar(space.field, rng) for lab in picks}
         if m:
             candidates.append(m)
-    low = [
-        {lab: space.field.one}
-        for lab in labels
-        if space.degree(lab) <= min(window, gen_deg + 1)
-    ]
-    candidates.extend(vec for vec in socle_filter(space, low) if vec)
+    candidates.extend(ghost_socle(space, min(window, gen_deg + 1)))
 
     tested = 0
     inconclusive = False
@@ -382,7 +372,7 @@ def chain_candidates(space):
         chain.extend(socle[:1])
         for i in range(space.size):
             if space.graph.classify_vertex(space.slot_base(i)) == "infinite_emitter":
-                chain.append({(Path.vertex(space.slot_base(i)), i): field.one})
+                chain.append({space.bare(i): field.one})
     elif kind == "mantese" and space.variant == "infinite_emitter":
         chain.append(space.socle_generator())
     elif kind == "linear_example" and space.variant == "infinite_emitter":

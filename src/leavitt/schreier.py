@@ -42,9 +42,10 @@ class SchreierStaircase:
     the truncation therefore only sees a slice of the ideal and no
     stabilization claim is made.
 
-    The generators are encoded once into the field's native values, and
-    rows is the native pivot table of the staircase (see leavitt.linalg);
-    reduce, membership and free_generators take and return field scalars.
+    The generators are encoded once into the field's native values, each
+    kept with its degree, and rows is the native pivot table of the
+    staircase (see leavitt.linalg); reduce, membership and free_generators
+    take and return field scalars.
     """
 
     def __init__(self, graph, field, generators, degree, family_cap=2):
@@ -56,25 +57,19 @@ class SchreierStaircase:
         for gen in generators:
             vec = encode(field, element_to_ghost(gen) if isinstance(gen, Element) else gen)
             if vec:
-                self._generators.append(vec)
+                self._generators.append((max(len(beta) for beta in vec), vec))
         self._echelon = SpanEchelon(field, ghost_sort_key)
         self.rows = self._echelon.rows
         self._build()
-        pivots = set(self.rows)
-        self.coset = [p for p in graph.all_paths(degree, family_cap) if p not in pivots]
-        gen_degs = [
-            max(len(beta) for beta in vec) for vec in self._generators
-        ] or [0]
+        self.coset = [p for p in graph.all_paths(degree, family_cap) if p not in self.rows]
         basis_deg = max((len(p) for p in self.coset), default=-1)
-        self.stabilized = (
-            not graph.family_names and max(gen_degs) <= degree and basis_deg < degree
-        )
+        within = all(maxdeg <= degree for maxdeg, _ in self._generators)
+        self.stabilized = not graph.family_names and within and basis_deg < degree
 
     # -- construction ---------------------------------------------------
 
     def _build(self):
-        for vec in self._generators:
-            maxdeg = max(len(beta) for beta in vec)
+        for maxdeg, vec in self._generators:
             if maxdeg > self.degree:
                 continue
             budget = self.degree - maxdeg

@@ -412,6 +412,31 @@ def test_module_simplicity_verdict(rose2_file):
     assert report["seed"] == "0"
 
 
+def test_module_simplicity_full_kv_report(loopfam_file):
+    code, out, _ = run_cli(
+        [
+            "module", "--graph", loopfam_file, "rangaswamy", "--period", "a", "--poly", "1,-1",
+            "--probe", "simplicity", "--degree", "4", "--format", "kv",
+        ]
+    )
+    assert code == 0
+    assert out == (
+        "seed=0\n"
+        "construction=rangaswamy\n"
+        "delta=a\n"
+        "irreducible=yes\n"
+        "junctions=a:infinite_emitter\n"
+        "kind=rangaswamy\n"
+        "q=-1,1\n"
+        "probe=simplicity\n"
+        "verdict=proper_submodule\n"
+        "window=4\n"
+        "samples=13\n"
+        "seed=0\n"
+        "submodule_dim=40\n"
+        "witness=-h0 + a.h0\n"
+    )
+
 def test_induced_module_and_chen_quotient_at_an_infinite_emitter(loopfam_file):
     # The Rangaswamy module of a with q = x - 1 is induced from Chen's bottom
     # layer for (a)^w at the infinite emitter v: it is not simple, and the
@@ -573,6 +598,23 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, rose2_file, roseab_
     assert code == 0
     assert lines_of(out)["seed"] == "9"
 
+
+def test_an_unknown_flag_is_named_on_its_own(tmp_path, rose2_file, roseab_file):
+    ideal = tmp_path / "quat.ideal"
+    ideal.write_text(QUAT_IDEAL)
+    chen = ["module", "--graph", rose2_file, "chen", "--word", "rational:x1"]
+    for argv, named in (
+        (["nf", "--graph", rose2_file, "--samples", "3", "v"], "--samples"),
+        (["nf", "--graph", rose2_file, "--bogus", "v"], "--bogus"),
+        (["nf", "--graph", rose2_file, "v", "extra"], "extra"),
+        (["schreier", "--graph", roseab_file, "--samples", "3", str(ideal)], "--samples"),
+        (chen + ["--bogus", "1"], "--bogus"),
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {named}\n"
+    # a negative number is still read as the expression
+    assert run_cli(["nf", "--graph", rose2_file, "-1"]) == (0, "-v\n", "")
 
 def test_large_prime_field(rose2_file):
     start = time.perf_counter()

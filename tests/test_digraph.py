@@ -136,6 +136,17 @@ def test_thue_morse_is_witnessed_irrational(rose2):
     assert tail_equivalent(w, w.shift(3))
 
 
+def test_a_shifted_generator_tail_prints_its_offset(rose2):
+    x1, x2 = sorted(rose2.out_arrows("v"), key=lambda a: a.key)
+    w = thue_morse_word(rose2, x1, x2)
+    assert str(w.shift(1)) == "tm(x1,x2)@1"
+    assert str(w.shift(3)) == "tm(x1,x2)@3"
+
+
+def test_paths_into_lists_the_paths_ending_at_a_vertex(sink3):
+    assert [str(p) for p in sink3.paths_into("u", 2)] == ["u", "g", "e.g"]
+    assert [str(p) for p in sink3.paths_into("w", 3)] == ["w", "h", "e.h", "g.e.h"]
+
 def test_generator_word_with_prefix(rose2):
     x1, x2 = sorted(rose2.out_arrows("v"), key=lambda a: a.key)
 

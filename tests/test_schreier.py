@@ -107,6 +107,20 @@ def test_codimension_one_ideal(roseab, q):
     assert st.membership(parse_element(roseab, q, "a*.a* - v")) == "in"
 
 
+def test_a_generator_deeper_than_the_degree_is_skipped(rose2, q):
+    st = SchreierStaircase(rose2, q, [parse_element(rose2, q, "x1*.x1*.x1*")], 2)
+    assert not st.stabilized
+    assert st.codimension() == ("at_least", 7)
+    assert not st.rows
+
+
+def test_reduce_accepts_an_element(rose2, q):
+    gens = [parse_element(rose2, q, "x1* - v"), parse_element(rose2, q, "x2*")]
+    st = SchreierStaircase(rose2, q, gens, 4)
+    from_element = st.reduce(parse_element(rose2, q, "x1*.x1*"))
+    assert from_element == st.reduce({digraph.parse_path(rose2, "x1.x1"): q.one})
+    assert from_element == {Path.vertex("v"): q.one}
+
 def test_coset_is_closed_under_prefix_drop(roseab, rose3, q):
     # a staircase coset basis is always closed under dropping the last
     # arrow of the key, the head of the dual word
