@@ -13,15 +13,16 @@ or another field's scalar among the coefficients raises TypeError there.
 A product hands its ints and denominator to normal_form, or to a further
 product, as they are, and decodes them into field scalars only when its
 terms are first read; normal_form decodes its result at once.  The parser
-reads each word in one pass, letter by letter into the two paths of one
-monomial, so reading an expression makes no products at all.
+reads one summand per match of a regular expression, whose letters are the
+digraph module's LETTER, and folds each word letter by letter into the two
+paths of one monomial, so reading an expression makes no products at all.
 """
 
 import re
 from fractions import Fraction
 from math import lcm
 
-from .digraph import Path, path_sort_key
+from .digraph import LETTER, Path, path_sort_key, read_letter
 from .errors import ParseError, PreconditionError
 from .fields import add_into, signed_sum
 from .linalg import decode
@@ -376,159 +377,88 @@ def equals_cohn(x, y):
 
 # -- element expressions -----------------------------------------------------
 
-_TOKEN = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<id>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\[\]\.\*\+\-])|(?P<bad>\S)"
+# A letter of a word: LETTER and a run of stars, each toggling the ghost.
+_LETTER = re.compile(rf"{LETTER.pattern}((?:\s*\*)*)")
+# One summand: a sign, which only the first summand may leave out, an
+# optional coefficient and an optional word of letters joined by dots.
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
+    rf"(?P<word>{_LETTER.pattern}(?:\s*\.\s*{_LETTER.pattern})*)?\s*"
 )
 
 
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"bad character in expression at {text[m.start():]!r}")
-        tokens.append((kind, m[0]))
-    return tokens
+def _word(letters):
+    """The word's letters multiplied as one monomial, or None if it vanishes.
 
-
-class _ExprParser:
-    """Sums of optionally signed, optionally weighted generator words.
-
-    Grammar:  expr   := term (('+' | '-') term)*
-              term   := coeff | coeff word | word
-              word   := factor ('.' factor)*
-              factor := id | id '[' num ']' | factor '*'
-    A bare coefficient means that multiple of the identity, the sum of all
-    vertex idempotents.  Words multiply in the Cohn algebra, so mixed real
-    and ghost letters simplify as they are read: a word folds into one
-    monomial, or vanishes.
+    letters holds (vertex name or arrow, whether starred) pairs.  They fold
+    left to right into alpha.beta*: a real letter extends alpha, or, when
+    beta is not empty, cancels beta's first arrow or kills the word; a ghost
+    letter extends beta at its start; a vertex letter only checks the
+    junction.  The caller reads every letter before the fold, so a letter
+    that names nothing fails even after the word dies.
     """
-
-    def __init__(self, graph, field, tokens):
-        self.graph = graph
-        self.field = field
-        # The end marker (None, None) is peeked at, and taken only by a
-        # read that then fails.
-        self.tokens = [*tokens, (None, None)]
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        # Terms accumulate into one dict; adding Elements would copy the sum
-        # and recheck every monomial at each term.
-        one = self.field.one
-        terms = {}
-        sign = one
-        if self.peek() in (("op", "+"), ("op", "-")):
-            sign = -one if self.take()[1] == "-" else one
-        while True:
-            monos, coeff = self.term()
-            add_into(self.field, terms, dict.fromkeys(monos, coeff), sign)
-            if self.peek()[0] is None:
-                return Element._trusted(self.graph, self.field, terms)
-            kind, val = self.take()
-            if kind != "op" or val not in "+-":
-                raise ParseError(f"expected + or - before {val!r}")
-            sign = -one if val == "-" else one
-
-    def term(self):
-        """One summand, as its monomials and the coefficient weighting them."""
-        kind, val = self.peek()
-        coeff = self.field.one
-        if kind == "num":
-            self.take()
-            coeff = self.field.parse(val)
-            kind, val = self.peek()
-            if kind != "id":
-                return Element.unit(self.graph, self.field).terms, coeff
-        if kind != "id":
-            raise ParseError(f"expected a generator name, found {val!r}")
-        mono = self.word()
-        return () if mono is None else (mono,), coeff
-
-    def word(self):
-        """The word's letters multiplied as one monomial, or None if it vanishes.
-
-        The letters fold left to right into alpha.beta*: a real letter
-        extends alpha, or, when beta is not empty, cancels beta's first
-        arrow or kills the word; a ghost letter extends beta at its start;
-        a vertex letter only checks the junction.  A dead word's remaining
-        letters are still read.
-        """
-        source = end = None  # alpha's source, and the vertex alpha.beta* ends at
-        alpha, ghosts = [], []  # ghosts holds beta's arrows, last first
-        live = True
-        while True:
-            letter, starred = self.factor()
-            if not live:
-                pass
-            elif starred is False and ghosts:
-                # e*.e = r(e) and e*.f = 0
-                live = ghosts.pop() is letter
-                end = letter.target
-            else:
-                if starred is None:
-                    head = tail = letter
-                elif starred:
-                    head, tail = letter.target, letter.source
-                    ghosts.append(letter)
-                else:
-                    head, tail = letter.source, letter.target
-                    alpha.append(letter)
-                if end is None:
-                    source = end = head
-                live = end == head
-                end = tail
-            if self.peek() != ("op", "."):
-                break
-            self.take()
-        if not live:
+    source = end = None  # alpha's source, and the vertex alpha.beta* ends at
+    alpha, ghosts = [], []  # ghosts holds beta's arrows, last first
+    for letter, starred in letters:
+        if letter.__class__ is str:
+            head = tail = letter
+        elif not starred and ghosts:
+            # e*.e = r(e) and e*.f = 0
+            if ghosts.pop() is not letter:
+                return None
+            end = letter.target
+            continue
+        elif starred:
+            head, tail = letter.target, letter.source
+            ghosts.append(letter)
+        else:
+            head, tail = letter.source, letter.target
+            alpha.append(letter)
+        if end is None:
+            source = head
+        elif end != head:
             return None
-        target = alpha[-1].target if alpha else source
-        return (
-            Path._trusted(source, target, tuple(alpha)),
-            Path._trusted(end, target, tuple(reversed(ghosts))),
-        )
-
-    def factor(self):
-        """One letter: (vertex name, None), or (arrow, whether starred)."""
-        kind, name = self.take()
-        if kind != "id":
-            raise ParseError(f"expected a generator name, found {name!r}")
-        index = None
-        if self.peek() == ("op", "["):
-            self.take()
-            k, num = self.take()
-            if k != "num" or "/" in num:
-                raise ParseError("family index must be a plain integer")
-            index = int(num)
-            if self.take() != ("op", "]"):
-                raise ParseError("unclosed family index")
-        starred = False
-        while self.peek() == ("op", "*"):
-            self.take()
-            starred = not starred
-        if index is None and self.graph.has_vertex(name):
-            # Vertex idempotents are fixed by the involution, so the star
-            # is accepted and ignored.
-            return name, None
-        try:
-            return self.graph.arrow(name, index), starred
-        except PreconditionError as exc:
-            raise ParseError(str(exc)) from exc
+        end = tail
+    target = alpha[-1].target if alpha else source
+    return (
+        Path._trusted(source, target, tuple(alpha)),
+        Path._trusted(end, target, tuple(reversed(ghosts))),
+    )
 
 
 def parse_element(graph, field, text):
-    """Evaluate an element expression in the Cohn algebra of the graph."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty element expression")
-    return _ExprParser(graph, field, tokens).parse()
+    """Evaluate an element expression in the Cohn algebra of the graph.
+
+    Grammar:  expr   := ['+' | '-'] term (('+' | '-') term)*
+              term   := coeff | coeff word | word
+              word   := letter ('.' letter)*
+              letter := name ['[' digits ']'] '*'*
+    with whitespace allowed around each sign, coefficient, '.', '*', '['
+    and ']', and nowhere else.  A bare coefficient means that multiple of
+    the identity, the sum of all vertex idempotents.  A vertex letter
+    ignores its stars, since vertex idempotents are fixed by the
+    involution.  Words multiply in the Cohn algebra, so a word folds into
+    one monomial, or vanishes; every letter is read all the same.
+    """
+    one = field.one
+    # Terms accumulate into one dict; adding Elements would copy the sum
+    # and recheck every monomial at each term.
+    terms = {}
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if (pos and not m["sign"]) or not (m["coeff"] or m["word"]):
+            raise ParseError(f"cannot read a term at {text[pos:]!r}")
+        coeff = one if m["coeff"] is None else field.parse(m["coeff"])
+        if m["word"] is None:
+            monos = Element.unit(graph, field).terms
+        else:
+            mono = _word([
+                (read_letter(graph, name, index or None), stars.count("*") % 2)
+                for name, index, stars in _LETTER.findall(text, *m.span("word"))
+            ])
+            monos = () if mono is None else (mono,)
+        add_into(field, terms, dict.fromkeys(monos, coeff), -one if m["sign"] == "-" else one)
+        pos = m.end()
+        if pos == len(text):
+            return Element._trusted(graph, field, terms)

@@ -362,7 +362,8 @@ def _probe_verify(space, args, report):
 
 
 def _probe_simplicity(space, args, report):
-    result = simplicity_probe(space, args.degree, samples=args.samples, seed=args.seed)
+    budget = {} if args.samples is None else {"samples": args.samples}
+    result = simplicity_probe(space, args.degree, seed=args.seed, **budget)
     _add_values(report, result, ("verdict", "window", "samples", "seed", "dim", "submodule_dim",
                                  "witness_str", "overflowed", "family_capped"))
     return 0
@@ -399,6 +400,8 @@ def _probe_endo(space, args, report):
 
 
 def cmd_module(args, out):
+    if args.samples is not None and args.probe != "simplicity":
+        raise UsageError(f"the {args.probe} probe does not read --samples")
     graph = _load_graph(args)
     field = parse_field(args.field)
     space = _build_module(args, graph, field)
@@ -446,7 +449,8 @@ def build_parser():
     p_sch.set_defaults(fn=cmd_schreier)
 
     p_mod = sub.add_parser("module", parents=[staircase], help="build a module and run a probe")
-    p_mod.add_argument("--samples", type=_count_from(1), default=12, metavar="N", help="randomized sample count")
+    # no default, so that the simplicity probe's own applies and other probes can refuse it
+    p_mod.add_argument("--samples", type=_count_from(1), metavar="N", help="simplicity probe sample count")
     p_mod.add_argument("construction", choices=tuple(_MODULE_OPTIONS))
     p_mod.add_argument("--probe", choices=("verify", "simplicity", "chain", "endo"), default="verify")
     p_mod.add_argument("--word", help="chen word: rational:PATH or tm:A,B")

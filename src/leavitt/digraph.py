@@ -7,9 +7,16 @@ and family names share one namespace so that textual expressions can refer
 to any of them without qualification.
 """
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParseError, PreconditionError
+
+
+# The one lexical grammar of names, and of the letters of path literals and
+# element expressions: a name and, for a family member, its index.
+IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+LETTER = re.compile(rf"({IDENT.pattern})\s*(?:\[\s*(\d+)\s*\])?")
 
 
 # Every Arrow made in this process, by (name, source, target, index).  It
@@ -207,7 +214,7 @@ class DiGraph:
     # -- construction -------------------------------------------------
 
     def _claim_name(self, name):
-        if not name or not all(c.isalnum() or c == "_" for c in name):
+        if not IDENT.fullmatch(name):
             raise PreconditionError(f"bad identifier {name!r}")
         if name in self._vertices or name in self._arrows or name in self._families:
             raise PreconditionError(f"identifier {name!r} already in use")
@@ -391,32 +398,30 @@ def parse_graph(text):
     return graph
 
 
-def _parse_arrow_token(graph, token):
-    token = token.strip()
-    if token.endswith("]"):
-        name, _, idx = token[:-1].partition("[")
-        try:
-            index = int(idx)
-        except ValueError as exc:
-            raise ParseError(f"bad family index in {token!r}") from exc
-        try:
-            return graph.arrow(name.strip(), index)
-        except PreconditionError as exc:
-            raise ParseError(str(exc)) from exc
+def read_letter(graph, name, index):
+    """The vertex name or the arrow named by a letter; index is its digits or None."""
+    if index is None and graph.has_vertex(name):
+        return name
     try:
-        return graph.arrow(token)
+        return graph.arrow(name, None if index is None else int(index))
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def parse_path(graph, text):
-    """Parse a path literal: a vertex name, or dot joined arrow names."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty path literal")
-    if "." not in text and graph.has_vertex(text):
-        return Path.vertex(text)
-    arrows = [_parse_arrow_token(graph, tok) for tok in text.split(".")]
+    """Parse a path literal: a vertex name, or dot joined arrow letters."""
+    pieces = text.split(".")
+    arrows = []
+    for piece in pieces:
+        m = LETTER.fullmatch(piece.strip())
+        if m is None:
+            raise ParseError(f"cannot read a letter at {piece.strip()!r} in {text.strip()!r}")
+        letter = read_letter(graph, *m.groups())
+        if letter.__class__ is str:
+            if len(pieces) == 1:
+                return Path.vertex(letter)
+            raise ParseError(f"vertex {letter} inside the path literal {text.strip()!r}")
+        arrows.append(letter)
     try:
         return Path.of_arrows(arrows)
     except PreconditionError as exc:

@@ -253,26 +253,48 @@ def test_products_decode_their_integers_on_first_read(xy):
     assert x * (y * x) == cohn_product_pairwise(x, cohn_product_pairwise(y, x))
 
 
+GAP = st.sampled_from(("", "", " ", "  ", "\t", " \n "))
+
+
 @st.composite
 def worded_sums(draw):
-    """A graph, a field and (coefficient, word) summands over its letters.
+    """A graph, a field and (coefficient, word, spaced word, gaps) summands.
 
     Letters are vertices, arrows and family members f[0] to f[3], each
     with zero to three stars, so bare and starred vertices, double stars
-    and words that vanish all turn up.
+    and words that vanish all turn up.  The spaced word spells the same
+    letters with whitespace drawn around every '.', '*', '[' and ']', and
+    the gaps go before and after the sign, after the coefficient and
+    after the word.
     """
     graph = PRODUCT_GRAPHS[draw(st.sampled_from(sorted(PRODUCT_GRAPHS)))]
     field = draw(st.sampled_from(PRODUCT_FIELDS))
-    names = [*graph.vertices, *(a.name for a in graph.plain_arrows)]
-    names += [f"{f}[{k}]" for f in graph.family_names for k in range(4)]
-    letter = st.builds(lambda n, k: n + "*" * k, st.sampled_from(names), st.integers(0, 3))
-    word = st.lists(letter, min_size=1, max_size=7).map(".".join)
-    summand = st.tuples(st.sampled_from(COEFFS), word)
-    return graph, field, draw(st.lists(summand, min_size=1, max_size=4))
+    names = [(name, None) for name in (*graph.vertices, *(a.name for a in graph.plain_arrows))]
+    names += [(f, k) for f in graph.family_names for k in range(4)]
+
+    def letter():
+        name, index = draw(st.sampled_from(names))
+        stars = draw(st.integers(0, 3))
+        plain = spaced = name
+        if index is not None:
+            plain += f"[{index}]"
+            spaced += f"{draw(GAP)}[{draw(GAP)}{index}{draw(GAP)}]"
+        return plain + "*" * stars, spaced + "".join(draw(GAP) + "*" for _ in range(stars))
+
+    def summand():
+        letters = [letter() for _ in range(draw(st.integers(1, 7)))]
+        word = ".".join(plain for plain, _ in letters)
+        spaced = letters[0][1] + "".join(f"{draw(GAP)}.{draw(GAP)}{s}" for _, s in letters[1:])
+        gaps = tuple(draw(GAP) for _ in range(4))
+        return draw(st.sampled_from(COEFFS)), word, spaced, gaps
+
+    return graph, field, [summand() for _ in range(draw(st.integers(1, 4)))]
 
 
 def spelled(name, *summands, tag="q"):
-    return PRODUCT_GRAPHS[name], parse_field(tag), list(summands)
+    # (coefficient, word) pairs, written as " +coefficient word" summands
+    summands = [(coeff, word, word, (" ", "", " ", "")) for coeff, word in summands]
+    return PRODUCT_GRAPHS[name], parse_field(tag), summands
 
 
 @settings(deadline=None)
@@ -281,16 +303,50 @@ def spelled(name, *summands, tag="q"):
 @example(spelled("sink3", ("1/2", "h*.g"), ("3", "g*.e*.e.g.u"), tag="gf:7"))
 @example(spelled("rose3", ("1", "x1.x2.x2*.x1*.x1.x3*"), ("-2/3", "x1*.x1**.x2")))
 @example(spelled("abfam", ("1", "a.f[3]*.f[3].b**"), ("5/4", "f[3]*.f[2]"), ("1", "v*.a***.v")))
+@example((PRODUCT_GRAPHS["abfam"], parse_field("q"),
+          [("-2", "f[1]**.a", "f \t[ 1 ] * *\n. a", ("", " ", "\t", " "))]))
 def test_parser_folds_words_like_letter_by_letter_products(case):
     graph, field, summands = case
     text = ""
     expected = Element.zero(graph, field)
-    for coeff, word in summands:
-        assert parse_element(graph, field, word) == word_by_letters(graph, field, word), word
-        sign = "- " if coeff.startswith("-") else "+ "
-        text += f" {sign}{coeff.lstrip('-')} {word}"
+    for coeff, word, spaced, gaps in summands:
+        assert parse_element(graph, field, spaced) == word_by_letters(graph, field, word), spaced
+        sign = "-" if coeff.startswith("-") else "+"
+        text += f"{gaps[0]}{sign}{gaps[1]}{coeff.lstrip('-')}{gaps[2]}{spaced}{gaps[3]}"
         expected = expected + word_by_letters(graph, field, word).scale(field.parse(coeff))
-    assert parse_element(graph, field, text) == expected
+    assert parse_element(graph, field, text) == expected, text
+
+
+# two loops and a family at one vertex, so that only the grammar can fail
+XF = parse_graph("[vertices]\nv\n[arrows]\nx1: v -> v\nx2: v -> v\n[families]\nf[]: v -> v\n")
+MALFORMED = (
+    "", " ", "x1 +", "+", "+-x1", "x1 x2", "2 3", "0.5 x1", "x1..x2", "x1.2", "1/ x1",
+    "x1[0/1]", "f[+1]", "f[1_0]", "x1*x2", "x1 . ", ". x1", "x1 [", "2 *", "x1 - - x2", "é",
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_expressions_raise_parse_error(text):
+    # f alone is a family with no index, which fails before the bracket does
+    with pytest.raises(ParseError, match="cannot read a term at|needs an index"):
+        parse_element(XF, parse_field("q"), text)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_GRAPHS)), st.data())
+def test_a_dotted_arrow_literal_reads_alike_as_path_and_element(name, data):
+    # a literal that spells a path is the real part of the one monomial the
+    # expression reads to; one whose arrows do not compose reads to zero
+    graph = PRODUCT_GRAPHS[name]
+    letters = [str(a) for a in graph.all_arrows(family_cap=3)]
+    text = ".".join(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=5)))
+    element = parse_element(graph, parse_field("q"), text)
+    try:
+        path = parse_path(graph, text)
+    except ParseError:
+        assert element.is_zero, text
+        return
+    assert element.terms == {(path, Path.vertex(path.target)): 1}, text
 
 
 def test_a_float_operand_still_raises_at_the_product(rose2, q):

@@ -768,6 +768,41 @@ def test_constructions_refuse_options_they_do_not_read(roseab_file, construction
     assert f"the {construction[0]} construction does not read {option}\n" in err
 
 
+@pytest.mark.parametrize("probe", ["verify", "chain", "endo"])
+def test_only_the_simplicity_probe_reads_samples(rose2_file, probe):
+    argv = ["module", "--graph", rose2_file, "chen", "--word", "rational:x1", "--probe", probe]
+    code, out, err = run_cli([*argv, "--samples", "5"])
+    assert (code, out) == (1, "")
+    assert err == f"error: the {probe} probe does not read --samples\n"
+
+
+def test_the_simplicity_probe_keeps_its_own_sample_default(rose2_file):
+    argv = ["module", "--graph", rose2_file, "chen", "--word", "rational:x1", "--probe",
+            "simplicity", "--degree", "3"]
+    given = run_cli([*argv, "--samples", "12"])
+    assert given == run_cli(argv) and given[0] == 0
+    assert "samples: 12\n" in given[1]
+    assert "samples: 5\n" in run_cli([*argv, "--samples", "5"])[1]
+
+
+@pytest.mark.parametrize("name", ["2a", "é"])
+def test_a_graph_naming_an_arrow_no_expression_reads_exits_2(tmp_path, name):
+    # 2a would read as twice a, and é not at all, so the graph is refused
+    graph = tmp_path / "bad.graph"
+    graph.write_text(f"[vertices]\nv\n[arrows]\na: v -> v\n{name}: v -> v\n", encoding="utf-8")
+    code, out, err = run_cli(["nf", "--graph", str(graph), "a"])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 5: bad identifier {name!r}\n"
+
+
+def test_a_signed_family_index_in_a_period_exits_2(loopfam_file):
+    argv = ["module", "--graph", loopfam_file, "rangaswamy", "--poly", "1,-1", "--degree", "2"]
+    assert run_cli([*argv, "--period", "f[1]"])[0] == 0
+    code, out, err = run_cli([*argv, "--period", "f[+1]"])
+    assert (code, out) == (2, "")
+    assert "'f[+1]'" in err
+
+
 def test_a_given_default_twist_is_read(roseab_file):
     argv = ["module", "--graph", roseab_file, "linear", "--a", "a", "--b", "b"]
     given = run_cli([*argv, "--twist", "linear"])

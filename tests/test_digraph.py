@@ -79,6 +79,35 @@ def test_parse_path_rejects_unknown_arrow(rose2):
         parse_path(rose2, "x1.zz")
 
 
+@pytest.mark.parametrize("text", ["f[+1]", "f[1_0]", "f[-0]", "v.f[1]", "f[1].v", "f[1]*", "f[1].", ""])
+def test_parse_path_reads_only_letters(roseinf, text):
+    with pytest.raises(ParseError):
+        parse_path(roseinf, text)
+
+
+def test_parse_path_names_a_vertex_inside_a_dotted_path(rose2):
+    with pytest.raises(ParseError, match="vertex v inside"):
+        parse_path(rose2, "v.x1")
+    assert parse_path(rose2, " v ") == Path.vertex("v")
+
+
+def test_parse_path_allows_whitespace_around_dots_and_brackets(roseinf):
+    assert str(parse_path(roseinf, " f [ 1 ] .\tf[01] ")) == "f[1].f[1]"
+
+
+@pytest.mark.parametrize("name", ["2a", "é", "a-b", "a b", ""])
+def test_names_follow_the_identifier_grammar(name):
+    g = digraph.DiGraph()
+    with pytest.raises(PreconditionError, match="bad identifier"):
+        g.add_vertex(name)
+    g.add_vertex("v")
+    with pytest.raises(PreconditionError, match="bad identifier"):
+        g.add_arrow(name, "v", "v")
+    with pytest.raises(PreconditionError, match="bad identifier"):
+        g.add_family(name, "v", "v")
+    g.add_vertex("_v2")
+
+
 def test_sort_keys_order_by_length_first(rose2):
     paths = sorted(rose2.all_paths(3), key=path_sort_key)
     lens = [len(p) for p in paths]
