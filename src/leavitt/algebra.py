@@ -382,7 +382,7 @@ _LETTER = re.compile(rf"{LETTER.pattern}((?:\s*\*)*)")
 # One summand: a sign, which only the first summand may leave out, an
 # optional coefficient and an optional word of letters joined by dots.
 _TERM = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
+    r"\s*(?P<sign>[+-]?)\s*(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*"
     rf"(?P<word>{_LETTER.pattern}(?:\s*\.\s*{_LETTER.pattern})*)?\s*"
 )
 

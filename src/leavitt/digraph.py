@@ -16,7 +16,7 @@ from .errors import ParseError, PreconditionError
 # The one lexical grammar of names, and of the letters of path literals and
 # element expressions: a name and, for a family member, its index.
 IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-LETTER = re.compile(rf"({IDENT.pattern})\s*(?:\[\s*(\d+)\s*\])?")
+LETTER = re.compile(rf"({IDENT.pattern})\s*(?:\[\s*([0-9]+)\s*\])?")
 
 
 # Every Arrow made in this process, by (name, source, target, index).  It

@@ -16,7 +16,9 @@ callers read operator images and never write them.
 
 The probes skip work whose result is already known: a graph with one
 vertex gets no vertex operator, since its idempotent is the unit (one rule,
-_vertex_ops, lists them for both kinds of module); the run of whole
+_vertex_ops, lists them for both kinds of module); in a prefix module no
+ghost walks a row made by an arrow, since e*f = δ(e,f) r(f) puts each
+such image in the span already (ModuleOps.decided); the run of whole
 degrees a closure holds is read off its pivots; and a sample closure stops
 walking once it holds the generator, which is all the simplicity probe
 asks of it then.
@@ -50,9 +52,18 @@ class ModuleOps:
     read-only to callers; tables maps the name of each tabled operator to
     its table.  Every probe below explores the closure of the generator, a
     vector of field scalars, under these operators inside the window.
+
+    decided maps an operator's name to the names of the operators whose
+    images of a row it made are already in the span, so the walks skip
+    them on that row.  prefix_ops decides every ghost after an arrow, by
+    e*f = δ(e,f) r(f); a ModuleOps built without the map walks every
+    operator on every row.  The walks look names up as they run, so a
+    caller that rewrites ops still gets a consistent walk.
     """
 
-    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables=None):
+    def __init__(
+        self, field, ops, generator, sort_key, degree_of, window, tables=None, decided=None
+    ):
         self.field = field
         self.ops = ops
         self.generator = generator
@@ -60,6 +71,12 @@ class ModuleOps:
         self.degree_of = degree_of
         self.window = window
         self.tables = {} if tables is None else tables
+        self.decided = {} if decided is None else decided
+
+    def ops_after(self, made_by):
+        """The (name, fn) ops to walk on a row the op named made_by made."""
+        skip = self.decided.get(made_by, ())
+        return [(name, fn) for name, fn in self.ops if name not in skip]
 
     def apply(self, fn, vec):
         out, p = {}, self.field.characteristic
@@ -93,6 +110,10 @@ def prefix_ops(space, window):
     Each arrow and ghost operator tables its images, with the window guard
     applied as an entry is stored.  The tables live as long as the returned
     ModuleOps, so every closure and solve that reuses it shares them.
+
+    Every ghost is decided after every arrow: for a row a.x, a*(a.x) is
+    r(a).x, which the walk already holds as x itself or its image under
+    the vertex operator of r(a), and b*(a.x) is zero for b != a.
     """
     degree = space.degree
     tables = {}
@@ -119,6 +140,7 @@ def prefix_ops(space, window):
     arrows = space.active_arrows()
     ops += [tabled(str(a), space.act_arrow, a) for a in arrows]
     ops += [tabled(f"{a}*", space.act_ghost, a) for a in arrows]
+    ghosts = frozenset(f"{a}*" for a in arrows)
     return ModuleOps(
         space.field,
         ops,
@@ -127,6 +149,7 @@ def prefix_ops(space, window):
         space.degree,
         window,
         tables,
+        dict.fromkeys(map(str, arrows), ghosts),
     )
 
 
@@ -187,6 +210,11 @@ class Closure:
         soon as the span holds the goal, and then dim, overflowed and the
         span describe only the part walked so far.  When the span never
         holds the goal the walk runs to completion, as it does without one.
+
+        Each new row is queued with the name of the operator that made it
+        and walks mod.ops_after that name; a seed walks every operator.  A
+        row is walked whole before the rows it makes, so the images skipped
+        after an arrow are already in the span.
         """
         mod, ech = self.mod, self.echelon
         lead = None
@@ -207,17 +235,17 @@ class Closure:
             if ech.insert(seed)[2] is not None:
                 if reached():
                     return self
-                queue.append(seed)
+                queue.append((seed, None))
         while queue:
-            row = queue.popleft()
-            for _, fn in mod.ops:
+            row, made_by = queue.popleft()
+            for name, fn in mod.ops_after(made_by):
                 img = mod.apply(fn, row)
                 if img is None:
                     self.overflowed = True
                 elif img and ech.insert(img)[2] is not None:
                     if reached():
                         return self
-                    queue.append(img)
+                    queue.append((img, name))
         return self
 
 
@@ -550,6 +578,11 @@ def endomorphism_probe(target, degree=None):
     flags for window overflow.  A degree that leaves the generator itself
     outside that range, so that not even the identity could be found,
     raises PreconditionError.
+
+    As in Closure.extend, a row walks mod.ops_after the operator that made
+    it.  The equations the skipped operators would give are zero on a graph
+    with one vertex and repeat the vertex operators' on a larger one, so
+    the report is unchanged but for a lower equations count there.
     """
     if isinstance(target, SchreierStaircase):
         degree = target.degree if degree is None else degree
@@ -576,11 +609,11 @@ def endomorphism_probe(target, degree=None):
     constraints = SpanEchelon(field, var_index.__getitem__)
     eq_count = 0
     overflow = False
-    queue = deque([0])
+    queue = deque([(0, None)])
     while queue:
-        i = queue.popleft()
+        i, made_by = queue.popleft()
         sym_i = syms[i]
-        for _, fn in mod.ops:
+        for name, fn in mod.ops_after(made_by):
             img = mod.apply(fn, rows[i])
             if img is None:
                 overflow = True
@@ -591,7 +624,7 @@ def endomorphism_probe(target, degree=None):
             if rel is None:
                 rows.append(img)
                 syms.append(sym_img)
-                queue.append(new)
+                queue.append((new, name))
                 continue
             # The equation is the sum of rel[j] * syms[j], where the image's
             # own symbolic vector sits at the new index, with coefficient 1.

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from leavitt.algebra import Element
 from leavitt.digraph import Path
+from leavitt.probes import prefix_ops
 from leavitt.schreier import element_to_ghost, ghost_to_element
 
 
@@ -139,6 +140,18 @@ def dense_closure(space, seeds, window):
             if span.insert(img):
                 queue.append(img)
     return span, overflowed
+
+
+def unpruned_ops(space, window):
+    """prefix_ops with its decided table dropped.
+
+    Closures and the commutant solve then apply every operator to every
+    row, ghosts after arrows included, and do not lean on e*f = δ(e,f) r(f):
+    the reference that the pruned walks are compared against.
+    """
+    mod = prefix_ops(space, window)
+    mod.decided = {}
+    return mod
 
 
 # -- pairwise Cohn products ------------------------------------------------------

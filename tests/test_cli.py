@@ -667,6 +667,15 @@ def test_parse_errors_exit_2(tmp_path, rose2_file):
     assert run_cli(["nf", "--graph", str(bad_graph), "v"])[0] == 2
 
 
+@pytest.mark.parametrize("expr", ["\u0663 f[3]", "3 f[\u0663]", "1/\u0663 a"])
+def test_non_ascii_digits_exit_2(loopfam_file, expr):
+    # coefficients and family indices are ASCII digits; \d would read an
+    # Arabic-Indic three as 3, print 3 f[3] and exit 0
+    code, out, err = run_cli(["nf", "--graph", loopfam_file, expr])
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_zero_denominator_in_prime_field_exits_2(rose2_file):
     # a subprocess, so that an escaping exception shows as a traceback
     code = "import sys; from leavitt.cli import main; sys.exit(main(sys.argv[1:]))"

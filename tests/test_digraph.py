@@ -85,6 +85,15 @@ def test_parse_path_reads_only_letters(roseinf, text):
         parse_path(roseinf, text)
 
 
+def test_parse_path_reads_only_ascii_digits(roseinf):
+    # \d would take every Unicode decimal digit and read f[\u0663] (an
+    # Arabic-Indic three) as f[3]; a family index is ASCII digits only.
+    assert str(parse_path(roseinf, "f[3]")) == "f[3]"
+    for text in ("f[\u0663]", "f[1\u0663]", "f[\uff13]"):
+        with pytest.raises(ParseError):
+            parse_path(roseinf, text)
+
+
 def test_parse_path_names_a_vertex_inside_a_dotted_path(rose2):
     with pytest.raises(ParseError, match="vertex v inside"):
         parse_path(rose2, "v.x1")

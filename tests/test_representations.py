@@ -36,7 +36,7 @@ from leavitt import (
 from leavitt.errors import PreconditionError
 from leavitt.linalg import encode
 
-from conftest import ROSE3, SINK3
+from conftest import ROSE3, SINK3, TWOLOOP_TAIL
 from oracles import dense_closure
 
 
@@ -571,6 +571,61 @@ def test_random_regular_mantese_modules_verify(weights):
     M = mantese_module(ROSE3_GRAPH, GF7, "v", dict(zip(arrows, map(GF7.of, weights))))
     assert M.rules and not M.free_prepend
     assert_verifies(M, 4)
+
+
+def every_construction(rose2, roseab, sink3, roseinf, loopfam, abfam, field):
+    """One module of every constructor, on one-vertex and larger graphs."""
+    tail = parse_graph(TWOLOOP_TAIL)
+    one, lin = field.one, [-field.one, field.one]
+    x1, x2 = loops(rose2, "x1", "x2")
+    a, b = loops(roseab, "a", "b")
+    fa, fb = loops(abfam, "a", "b")
+    ta, tb = loops(tail, "a", "b")
+    D = field_extension(field, [one, field.zero, one])
+    return {
+        "chen_rational": chen_module(rose2, field, periodic_word(parse_path(rose2, "x1.x2"))),
+        "chen_thue_morse": chen_module(rose2, field, thue_morse_word(rose2, x1, x2)),
+        "chen_sink3": chen_module(sink3, field, periodic_word(parse_path(sink3, "e.g"))),
+        "chen_tail": chen_module(tail, field, periodic_word(parse_path(tail, "a.b"))),
+        "cohn_sink3": cohn_jacobson_module(sink3, field, "w"),
+        "cohn_roseinf": cohn_jacobson_module(roseinf, field, "v"),
+        "rangaswamy_regular": rangaswamy_module_regular(rose2, field, parse_path(rose2, "x1"), lin),
+        "rangaswamy_infinite": rangaswamy_module_infinite(
+            loopfam, field, parse_path(loopfam, "a"), lin
+        ),
+        "rangaswamy_tail": rangaswamy_module(tail, field, parse_path(tail, "a.b"), lin),
+        "mantese_roseab": mantese_module(roseab, field, "v", {a: one, b: field.of(2)}),
+        "mantese_abfam": mantese_module(abfam, field, "v", {fa: one, fb: one}),
+        "mantese_tail": mantese_module(tail, field, "v", {ta: one, tb: one}),
+        "linear_nonlinear": linear_example_module(roseab, field, a, b, "nonlinear"),
+        "linear_abfam": linear_example_module(abfam, field, fa, fb, "linear"),
+        "linear_tail": linear_example_module(tail, field, ta, tb, "linear"),
+        "hilbert": hilbert_module(roseab, field, "v", D, {a: D.basis("x"), b: D.one}),
+    }
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_every_construction_satisfies_ck1_for_every_pair_of_arrows(
+    rose2, roseab, sink3, roseinf, loopfam, abfam, tag
+):
+    # e*f = δ(e,f) r(f) on every label up to degree 4, for every pair of
+    # active arrows.  verify_representation checks only the pairs with a
+    # common target; the probes' walks skip a ghost after an arrow for
+    # every pair, so the pairs with different targets are checked here.
+    field = parse_field(tag)
+    modules = every_construction(rose2, roseab, sink3, roseinf, loopfam, abfam, field)
+    apart = 0
+    for name, M in modules.items():
+        arrows = M.active_arrows()
+        for m in M.labels(4):
+            vec = {m: field.one}
+            for f in arrows:
+                fm = M.arrow_apply(f, vec)
+                for e in arrows:
+                    want = M.vertex_apply(f.target, vec) if e == f else {}
+                    assert M.ghost_apply(e, fm) == want, (name, str(e), str(f), M.label_str(m))
+                    apart += e.target != f.target
+    assert apart
 
 
 # -- ideal presentations ----------------------------------------------------------------
