@@ -169,10 +169,7 @@ def _parse_poly(field, spec):
     """Polynomial coefficients, highest power first, e.g. 1,-1 for x - 1."""
     if spec is None:
         raise UsageError("the rangaswamy construction needs --poly like 1,-1")
-    try:
-        coeffs = [field.parse(t.strip()) for t in spec.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad polynomial {spec!r}: {exc}") from exc
+    coeffs = [field.parse(t.strip()) for t in spec.split(",")]
     coeffs.reverse()
     return coeffs
 

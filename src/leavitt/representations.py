@@ -797,46 +797,12 @@ class LeftIdealPresentation:
         self.metadata = metadata
 
 
-def _split_period_product(periods_by_first, v, path):
-    """Split a path into (period product, proper head), or None.
-
-    Periods are arrow disjoint, so the first arrow determines the only
-    period that can match and the greedy scan is the only possible split.
-    """
-    if path.source != v:
-        return None
-    arrows = path.arrows
-    i = 0
-    while i < len(arrows):
-        delta = periods_by_first.get(arrows[i])
-        if delta is None or arrows[i : i + len(delta)] != delta.arrows:
-            break
-        i += len(delta)
-    rest = arrows[i:]
-    if rest:
-        delta = periods_by_first.get(rest[0])
-        if delta is None or rest != delta.arrows[: len(rest)]:
-            return None
-    nu = Path.vertex(v) if i == 0 else Path.of_arrows(arrows[:i])
-    return nu, rest
-
-
-def _ghost_word_image(arrows, images, one):
-    """The image of (a1...ak)* = ak*...a1*, later arrows multiplying from the left."""
-    acc = one
-    for arrow in arrows:
-        img = images.get(arrow)
-        if img is None:
-            raise PreconditionError(f"no image given for {arrow}")
-        acc = img * acc
-    return acc
-
-
 def substitute(element, images, algebra=None):
     """Evaluate a purely ghost element under a ghost-arrow substitution.
 
     images maps arrows to algebra elements; vertex ids may also appear and
-    default to the algebra unit.  Later arrows multiply from the left, which
+    default to the algebra unit.  The ghost word (a1...ak)* = ak*...a1*
+    maps to the product with later arrows multiplying from the left, which
     is what makes the assignment a homomorphism on the dual subalgebra.
     """
     if algebra is None:
@@ -849,10 +815,12 @@ def substitute(element, images, algebra=None):
     for (alpha, beta), coeff in element.terms.items():
         if not alpha.is_vertex:
             raise PreconditionError(f"monomial ({alpha}, {beta}*) contains a real arrow")
-        if beta.is_vertex:
-            acc = images.get(beta.source, algebra.one)
-        else:
-            acc = _ghost_word_image(beta.arrows, images, algebra.one)
+        acc = images.get(beta.source, algebra.one) if beta.is_vertex else algebra.one
+        for arrow in beta.arrows:
+            img = images.get(arrow)
+            if img is None:
+                raise PreconditionError(f"no image given for {arrow}")
+            acc = img * acc
         out = out + acc.scale(coeff)
     return out
 
@@ -864,18 +832,21 @@ def mantese_rangaswamy_presentation(
 
     periods is a list of pairwise arrow disjoint closed paths at one vertex
     and images assigns each period a nonzero element of the structure
-    algebra.  The ideal is generated by the ghost words vanishing under the
-    substitution together with the shortest ghost paths that are not a
-    period product followed by a proper head; the coset keeps the words
-    whose period product has an image independent of those of earlier
-    products in staircase order.  degree bounds the generators and the
-    coset.
+    algebra: the image of a period product nu.delta is x_delta times the
+    image of nu.  The words kept are the period products and each product
+    followed by a proper head of a period, up to degree and under the
+    family cap; periods are arrow disjoint, so each kept word splits one
+    way only.  The generators are first the kernel relations, read off the
+    products' images in staircase order, then the shortest excluded words:
+    the other vertices and every one-arrow extension of a kept word that is
+    not kept.  The coset is the kept words whose product's image is
+    independent of those of the earlier products.  The work grows with the
+    number of period products, not with the number of paths up to degree.
     """
     if not periods:
         raise PreconditionError("need at least one period")
     v = periods[0].source
     seen = set()
-    periods_by_first = {}
     for delta in periods:
         if delta.is_vertex or delta.source != v or delta.target != v:
             raise PreconditionError(f"{delta} is not a closed path at {v}")
@@ -883,52 +854,59 @@ def mantese_rangaswamy_presentation(
             if a in seen:
                 raise PreconditionError(f"periods share the arrow {a}")
             seen.add(a)
-        periods_by_first[delta.arrows[0]] = delta
     if len(images) != len(periods):
         raise PreconditionError("need exactly one image per period")
-    # A period's image sits on its first arrow; its other arrows map to 1.
-    one = algebra.one
-    image_of = {}
+    under_cap = set(graph.all_arrows(family_cap))
+    whole = []
+    heads = []
     for delta, x in zip(periods, images):
         if x.algebra is not algebra:
             raise PreconditionError("images must live in the given algebra")
         if x.is_zero:
             raise PreconditionError(f"the image of {delta} must be nonzero")
-        image_of.update(dict.fromkeys(delta.arrows, one))
-        image_of[delta.arrows[0]] = x
+        # A period enters the products only when all its arrows are under
+        # the cap; its proper heads stop at the first arrow that is not.
+        under = next((i for i, a in enumerate(delta.arrows) if a not in under_cap), len(delta))
+        if under == len(delta):
+            whole.append((delta, x))
+        stop = min(under + 1, len(delta))
+        heads += [Path.of_arrows(delta.arrows[:k]) for k in range(1, stop)]
+
+    # Breadth first: the loop also visits the products it appends.
+    products = [(Path.vertex(v), algebra.one)]
+    for nu, image in products:
+        for delta, x in whole:
+            if len(nu) + len(delta) <= degree:
+                products.append((nu.concat(delta), x * image))
+    products.sort(key=lambda item: ghost_sort_key(item[0]))
 
     rank = {label: i for i, label in enumerate(algebra.labels)}
     ech = SpanEchelon(field, rank.get)
-    pivot_products = set()
     kernel = []
-    excluded = []
     kept = set()
     coset = []
-    # Staircase order puts prefixes first, so a word's period product is
-    # decided before the word; and every extension of an excluded word is
-    # excluded, so only the shortest become generators.
-    for p in sorted(graph.all_paths(degree, family_cap), key=ghost_sort_key):
-        split = _split_period_product(periods_by_first, v, p)
-        if split is None:
-            if p.is_vertex or p.drop_last() in kept:
-                excluded.append(ghost_to_element(graph, field, {p: field.one}))
-            continue
-        kept.add(p)
-        nu, rest = split
-        if not rest:
-            image = _ghost_word_image(p.arrows, image_of, one)
-            rel = ech.relation(encode(field, image.coords), p)
-            if rel is None:
-                pivot_products.add(p)
-            else:
-                kernel.append(ghost_to_element(graph, field, decode(field, rel)))
-        if nu in pivot_products:
-            coset.append(p)
+    for nu, image in products:
+        words = [nu] + [nu.concat(h) for h in heads if len(nu) + len(h) <= degree]
+        kept.update(words)
+        rel = ech.relation(encode(field, image.coords), nu)
+        if rel is None:
+            coset += words
+        else:
+            kernel.append(ghost_to_element(graph, field, decode(field, rel)))
+    coset.sort(key=ghost_sort_key)
+    # Every extension of an excluded word is excluded, so only the shortest
+    # become generators.
+    excluded = [Path.vertex(u) for u in graph.vertices if u != v]
+    for w in kept:
+        if len(w) < degree:
+            extensions = map(w.concat, graph.out_arrows(w.target, family_cap))
+            excluded += [p for p in extensions if p not in kept]
+    excluded.sort(key=ghost_sort_key)
 
     return LeftIdealPresentation(
         graph,
         field,
-        kernel + excluded,
+        kernel + [ghost_to_element(graph, field, {p: field.one}) for p in excluded],
         coset,
         metadata={
             "kind": "mantese_rangaswamy",
@@ -937,6 +915,6 @@ def mantese_rangaswamy_presentation(
             "hilbert": all(len(p) == 1 for p in periods),
             "degree": degree,
             "substitution_kernel_rows": len(kernel),
-            "independent_products": len(pivot_products),
+            "independent_products": len(products) - len(kernel),
         },
     )

@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 from leavitt.algebra import Element
-from leavitt.digraph import Path
+from leavitt.digraph import Path, ghost_sort_key
+from leavitt.linalg import SpanEchelon, decode, encode
 from leavitt.probes import prefix_ops
+from leavitt.representations import substitute
 from leavitt.schreier import element_to_ghost, ghost_to_element
 
 
@@ -469,3 +471,67 @@ def _poly_divides(field, divisor, coeffs):
         if len(rem) - 1 < dd:
             break
     return len(rem) == 1 and not rem[0]
+
+
+# -- period substitution by splitting every path ------------------------------------
+
+
+def split_presentation(graph, field, periods, images, degree, family_cap=2):
+    """The Mantese–Rangaswamy presentation read off every path up to degree.
+
+    Each path is split greedily into whole periods and the rest; it is kept
+    when it starts at the periods' vertex and the rest is a proper head of
+    a period.  A kept path with no rest is a period product, its image the
+    substitution of its ghost word with each period's image on its first
+    arrow and 1 on the others.  The kernel relations come from the
+    products in staircase order; the excluded paths are the vertices and
+    the paths that are not kept but whose last arrow cut off is; the coset
+    is the kept paths whose period product is independent.  Returns
+    (generators, coset, metadata) as mantese_rangaswamy_presentation does.
+    """
+    v = periods[0].source
+    algebra = images[0].algebra
+    by_first = {delta.arrows[0]: delta for delta in periods}
+    arrow_images = {}
+    for delta, x in zip(periods, images):
+        arrow_images.update(dict.fromkeys(delta.arrows, algebra.one))
+        arrow_images[delta.arrows[0]] = x
+    rank = {label: i for i, label in enumerate(algebra.labels)}
+    ech = SpanEchelon(field, rank.get)
+    kept, independent, kernel, excluded, coset = set(), set(), [], [], []
+    for p in sorted(graph.all_paths(degree, family_cap), key=ghost_sort_key):
+        arrows, i = p.arrows, 0
+        while i < len(arrows) and arrows[i] in by_first:
+            delta = by_first[arrows[i]]
+            if arrows[i : i + len(delta)] != delta.arrows:
+                break
+            i += len(delta)
+        rest = arrows[i:]
+        head = not rest or (
+            rest[0] in by_first and by_first[rest[0]].arrows[: len(rest)] == rest
+        )
+        if p.source != v or not head:
+            if p.is_vertex or p.drop_last() in kept:
+                excluded.append(ghost_to_element(graph, field, {p: field.one}))
+            continue
+        kept.add(p)
+        if not rest:
+            word = ghost_to_element(graph, field, {p: field.one})
+            image = substitute(word, arrow_images, algebra)
+            rel = ech.relation(encode(field, image.coords), p)
+            if rel is None:
+                independent.add(arrows)
+            else:
+                kernel.append(ghost_to_element(graph, field, decode(field, rel)))
+        if arrows[:i] in independent:
+            coset.append(p)
+    metadata = {
+        "kind": "mantese_rangaswamy",
+        "vertex": v,
+        "periods": [str(p) for p in periods],
+        "hilbert": all(len(p) == 1 for p in periods),
+        "degree": degree,
+        "substitution_kernel_rows": len(kernel),
+        "independent_products": len(independent),
+    }
+    return kernel + excluded, coset, metadata

@@ -691,6 +691,40 @@ def test_zero_denominator_in_prime_field_exits_2(rose2_file):
 
 
 @pytest.mark.parametrize(
+    "graph, construction, code, message",
+    [
+        (ROSEAB, ["rangaswamy", "--poly", "1,1"], 1, "the rangaswamy construction needs --period"),
+        (ROSEAB, ["rangaswamy", "--period", "a"], 1,
+         "the rangaswamy construction needs --poly like 1,-1"),
+        (ROSEAB, ["mantese"], 1, "the mantese construction needs --weights like a=1,b=1"),
+        (ROSEAB, ["hilbert"], 1, "the hilbert construction needs --algebra or --quat"),
+        (ROSEAB, ["hilbert", "--algebra", "ext:1,0,1"], 1,
+         "the hilbert construction needs --phi like y1=x,y2=1 or --quat"),
+        (ROSEAB, ["linear", "--a", "a"], 1, "give both --a and --b, or neither"),
+        (SINK3, ["cohn"], 1, "--at VERTEX is required on a graph with several vertices"),
+        (ROSEAB, ["chen", "--word", "sturm:a"], 2,
+         "unknown word kind 'sturm', expected rational or tm"),
+        (ROSEAB, ["chen", "--word", "tm:a"], 2, "thue_morse words need two arrows: tm:a,b"),
+        (ROSEAB, ["chen", "--word", "tm:a.b,b"], 2, "'a.b' does not name a single arrow"),
+        (ROSEAB, ["mantese", "--weights", "a"], 2, "'a' is not of the form arrow=value"),
+        (ROSEAB, ["cohn", "--at", "w"], 2, "unknown vertex 'w'"),
+        (LOOPFAM, ["linear", "--at", "v"], 3, "vertex v carries fewer than two loops"),
+        (LOOPFAM, ["hilbert", "--quat", "1", "1"], 3, "vertex v carries fewer than two loops"),
+    ],
+)
+def test_construction_input_refusals(tmp_path, graph, construction, code, message):
+    path = tmp_path / "input.graph"
+    path.write_text(graph)
+    argv = ["module", "--graph", str(path), *construction, "--probe", "verify"]
+    assert run_cli(argv) == (code, "", f"error: {message}\n")
+
+
+def test_a_polynomial_coefficient_that_does_not_parse_exits_2(roseab_file):
+    argv = ["module", "--graph", roseab_file, "rangaswamy", "--period", "a", "--poly", "1,x"]
+    assert run_cli(argv) == (2, "", "error: bad rational literal 'x'\n")
+
+
+@pytest.mark.parametrize(
     "construction",
     [
         ["mantese", "--weights", "a=1,b=0,a=2"],

@@ -48,6 +48,23 @@ def test_parse_graph_rejects_dangling_arrow():
         parse_graph("[vertices]\nv\n[arrows]\ne: v -> w\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[vertices]\nv\n[edges]\ne: v -> v\n", "line 3: unknown section [edges]"),
+        ("v\n[vertices]\nv\n", "line 1: content before any section"),
+        ("[vertices]\nv\n[families]\nf: v -> v\n", "line 4: family name needs []"),
+        ("[vertices]\nv\n[arrows]\ne: v v\n", "line 4: expected 'name: src -> dst'"),
+        ("[vertices]\nv\n[arrows]\nv: v -> v\n", "line 4: identifier 'v' already in use"),
+    ],
+)
+def test_parse_graph_refusals_name_the_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert info.value.exit_code == 2
+    assert str(info.value) == message
+
+
 def test_vertex_classification(sink3, roseinf, rose2):
     assert sink3.classify_vertex("w") == "sink"
     assert sink3.classify_vertex("u") == "regular"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leavitt import (
+    StructureAlgebra,
     check_poly,
     field_extension,
     is_irreducible,
@@ -181,6 +182,38 @@ def test_quaternion_algebra_rejects_degenerate(q):
     gf2 = parse_field("gf:2")
     with pytest.raises(PreconditionError):
         quaternion_algebra(gf2, 1, 1)
+
+
+# the upper triangular 2 x 2 matrices: 1, e = E11 and n = E12
+TRIANGULAR = {
+    **{("1", k): {k: 1} for k in ("1", "e", "n")},
+    **{(k, "1"): {k: 1} for k in ("e", "n")},
+    ("e", "e"): {"e": 1},
+    ("e", "n"): {"n": 1},
+    ("n", "e"): {},
+    ("n", "n"): {},
+}
+
+
+@pytest.mark.parametrize(
+    "unit, changes, message",
+    [
+        ("u", {}, "unit label missing from basis"),
+        ("1", {("n", "n"): None}, "no product for (n, n)"),
+        ("1", {("1", "e"): {"e": 2}}, "unit fails on the left of e"),
+        ("1", {("e", "1"): {"1": 1}}, "unit fails on the right of e"),
+        # (n.e).n = 0 but n.(e.n) = n.n = e
+        ("1", {("n", "n"): {"e": 1}}, "associativity fails on (n, e, n)"),
+    ],
+)
+def test_structure_algebra_refuses_bad_tables(q, unit, changes, message):
+    table = {**TRIANGULAR, **changes}
+    table = {key: entry for key, entry in table.items() if entry is not None}
+    assert StructureAlgebra(q, ["1", "e", "n"], "1", TRIANGULAR).dim == 3
+    with pytest.raises(PreconditionError) as info:
+        StructureAlgebra(q, ["1", "e", "n"], unit, table)
+    assert info.value.exit_code == 3
+    assert str(info.value) == message
 
 
 def test_parse_algebra_tags(q):

@@ -1083,6 +1083,92 @@ def test_endomorphism_probe_gaussian_point(roseab, q):
     assert square == tuple(-c for c in report.unit_coords)
 
 
+def _sym_apply_summed_then_dropped(cancelled):
+    """_sym_apply that sums every row in full and drops the zero rows at the end.
+
+    Each label whose row had terms but summed to zero goes into cancelled.
+    """
+
+    def apply(fn, sym, p):
+        out = {}
+        for lab, var_row in sym.items():
+            img = fn(lab)
+            if img is None:
+                return None
+            for lab2, c in img.items():
+                row = out.setdefault(lab2, {})
+                for var, x in var_row.items():
+                    row[var] = row.get(var, 0) + c * x
+        kept = {}
+        for lab2, row in out.items():
+            row = {var: x % p if p else x for var, x in row.items()}
+            row = {var: x for var, x in row.items() if x}
+            if row:
+                kept[lab2] = row
+            else:
+                cancelled.append(lab2)
+        return kept
+
+    return apply
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_endomorphism_probe_drops_rows_that_cancel(roseab, tag, monkeypatch):
+    # a* sends a* to a*.a* = b* - v, and a*.b* = a* = a*.v, so in a*.a*
+    # applied to the generic image z the terms 1 and -1 at a* cancel.
+    field = parse_field(tag)
+    gens = [parse_element(roseab, field, t) for t in ("a*.a* - b* + v", "a*.b* - a*")]
+    st = SchreierStaircase(roseab, field, gens, 2)
+    sym_apply, rows = probes._sym_apply, []
+
+    def recorded(fn, sym, p):
+        out = sym_apply(fn, sym, p)
+        rows.extend(() if out is None else out.values())
+        return out
+
+    monkeypatch.setattr(probes, "_sym_apply", recorded)
+    got = endomorphism_probe(st)
+    assert rows and all(rows)
+    cancelled = []
+    monkeypatch.setattr(probes, "_sym_apply", _sym_apply_summed_then_dropped(cancelled))
+    want = endomorphism_probe(st)
+    assert parse_path(roseab, "a") in cancelled
+    for name in ("dimension", "basis", "unit_coords", "table", "equations", "independent"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_endomorphism_probe_tables_at_most_sixteen_dimensions(q):
+    # The quotient by a*.a* - b*.b* on the tail graph has a commutant of 20
+    # dimensions at degree 4: too many to tabulate, so nothing composes.
+    tail = parse_graph(TWOLOOP_TAIL)
+    st = SchreierStaircase(tail, q, [parse_element(tail, q, "a*.a* - b*.b*")], 4)
+    report = endomorphism_probe(st)
+    assert report.dimension == 20
+    assert report.table is None and not report.table_closes
+    unit = report.unit_coords
+    assert unit is not None
+    assert report.compose(unit, unit) is None
+
+
+def test_endomorphism_probe_composes_only_through_evaluated_cells(rose2, q):
+    # On the Thue-Morse Chen module at degree 4 some composites leave the
+    # window: their cells are None, and so is every composite through them.
+    x1, x2 = loops(rose2, "x1", "x2")
+    report = endomorphism_probe(chen_module(rose2, q, thue_morse_word(rose2, x1, x2)), 4)
+    assert report.table is not None and not report.table_closes
+    missing = [key for key, cell in report.table.items() if cell is None]
+    present = [key for key, cell in report.table.items() if cell is not None]
+    assert missing and present
+
+    def unit_vector(i):
+        return tuple(q.one if k == i else q.zero for k in range(report.dimension))
+
+    for i, j in missing:
+        assert report.compose(unit_vector(i), unit_vector(j)) is None
+    for i, j in present:
+        assert report.compose(unit_vector(i), unit_vector(j)) == report.table[(i, j)]
+
+
 def test_endomorphism_probe_on_a_staircase(roseab, q):
     # Kernel of the substitution a* -> i, b* -> j onto the quaternions.
     # The quotient is the quaternion algebra as a module over itself, so

@@ -36,8 +36,8 @@ from leavitt import (
 from leavitt.errors import PreconditionError
 from leavitt.linalg import encode
 
-from conftest import ROSE3, SINK3, TWOLOOP_TAIL
-from oracles import dense_closure
+from conftest import LOOPFAM, ROSE3, SINK3, TWOLOOP_TAIL
+from oracles import dense_closure, split_presentation
 
 
 def loops(graph, *names):
@@ -740,6 +740,53 @@ def test_presentation_keeps_only_the_shortest_excluded_words(q, periods, degree,
     assert set(st.rows) == set(full.rows)
     assert st.coset_basis() == full.coset_basis()
     assert set(P.coset) == set(st.coset_basis())
+
+
+# two vertices: the periods a.b and a.d.b pass through u, and d, e lie
+# outside the periods a.b, c
+THROUGH_U = parse_graph(
+    "[vertices]\nv\nu\n[arrows]\na: v -> u\nb: u -> v\nc: v -> v\nd: u -> u\ne: u -> v\n"
+)
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+@pytest.mark.parametrize(
+    "graph, periods, algebra, images",
+    [
+        (ROSEABC, ("a.b", "c"), "quat", ("i", "j")),
+        (ROSEABC, ("a", "b"), "quat", ("i", "j")),
+        (ROSEABC, ("a.b.c",), "ext", ("x",)),
+        (THROUGH_U, ("a.b", "c"), "quat", ("i", "j")),
+        (THROUGH_U, ("a.d.b",), "ext", ("x",)),
+        # f[1] only enters products from a cap of two, and the cap cuts
+        # the heads of f[0].f[2].a after f[0]
+        (parse_graph(LOOPFAM), ("a", "f[1]"), "quat", ("k", "i")),
+        (parse_graph(LOOPFAM), ("f[0].f[2].a",), "ext", ("x",)),
+    ],
+    ids=["roseabc-ab-c", "roseabc-a-b", "roseabc-abc", "through_u-ab-c", "through_u-adb",
+         "loopfam-a-f1", "loopfam-f0f2a"],
+)
+def test_presentation_matches_a_split_of_every_path(tag, graph, periods, algebra, images):
+    # The library grows the period products and their heads; the oracle
+    # splits every path up to the degree.  Generators in order, coset and
+    # metadata must agree.
+    field = parse_field(tag)
+    if algebra == "quat":
+        A = quaternion_algebra(field, field.one, field.one)
+    else:
+        A = field_extension(field, [field.one, field.zero, field.one])
+    images = [A.basis(label) for label in images]
+    paths = [parse_path(graph, t) for t in periods]
+    for family_cap in (1, 2, 3):
+        for degree in range(7):
+            P = mantese_rangaswamy_presentation(graph, field, paths, A, images, degree, family_cap)
+            generators, coset, metadata = split_presentation(
+                graph, field, paths, images, degree, family_cap
+            )
+            case = (family_cap, degree)
+            assert [str(g) for g in P.generators] == [str(g) for g in generators], case
+            assert P.coset == coset, case
+            assert P.metadata == metadata, case
 
 
 def test_presentation_validates_periods(roseab, q):
