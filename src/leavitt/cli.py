@@ -268,7 +268,6 @@ def _build_module(args, graph, field):
 
             phi = _arrow_values(graph, args.phi, value_of)
         return hilbert_module(graph, field, v, algebra, phi, family_cap=cap)
-    raise UsageError(f"unknown construction {kind!r}")
 
 
 def _emit_metadata(report, space):

@@ -9,19 +9,20 @@ form, together with whether its multiplication table closed.
 
 Module vectors are native inside the probes (see leavitt.linalg), as are
 the label operators of the modules and the rows of Closure.echelon, a
-native pivot table.  The arrow and ghost operators of a prefix module are
-tabled for the window they were built for: each label's image is computed
-once, on first request, and every later request returns the same dict, so
-callers read operator images and never write them.
+native pivot table.  The arrow and ghost operators of a prefix module, and
+the ghost operators of a staircase quotient, are tabled for the window
+they were built for: each label's image is computed once, on first
+request, and every later request returns the same dict, so callers read
+operator images and never write them.
 
 The probes skip work whose result is already known: a graph with one
 vertex gets no vertex operator, since its idempotent is the unit (one rule,
-_vertex_ops, lists them for both kinds of module); in a prefix module no
-ghost walks a row made by an arrow, since e*f = δ(e,f) r(f) puts each
-such image in the span already (ModuleOps.decided); the run of whole
-degrees a closure holds is read off its pivots; and a sample closure stops
-walking once it holds the generator, which is all the simplicity probe
-asks of it then.
+_vertex_ops, lists them for both kinds of module); only a seed walks the
+vertex operators, and no ghost walks a row made by an arrow, since the
+relations put each such image in the span already (ModuleOps.ops_after);
+the run of whole degrees a closure holds is read off its pivots; and a
+sample closure stops walking once it holds the generator, which is all
+the simplicity probe asks of it then.
 
 Every public function and method takes and returns field scalars: vectors
 are encoded once as they come in, as Closure seeds and contains
@@ -47,23 +48,16 @@ class ModuleOps:
     """A module presented through label level operators.
 
     ops is an ordered list of (name, fn) where fn maps a basis label to a
-    native vector, or to None when the image leaves the degree window.
-    The vector may be held in a table and handed out again, so it is
-    read-only to callers; tables maps the name of each tabled operator to
-    its table.  Every probe below explores the closure of the generator, a
-    vector of field scalars, under these operators inside the window.
-
-    decided maps an operator's name to the names of the operators whose
-    images of a row it made are already in the span, so the walks skip
-    them on that row.  prefix_ops decides every ghost after an arrow, by
-    e*f = δ(e,f) r(f); a ModuleOps built without the map walks every
-    operator on every row.  The walks look names up as they run, so a
-    caller that rewrites ops still gets a consistent walk.
+    native vector, or to None when the image leaves the degree window; a
+    name is v:u for the vertex u, a* for the ghost of the arrow a, and a
+    for the arrow.  The vector may be held in a table and handed out
+    again, so it is read-only to callers; tables maps the name of each
+    tabled operator to its table.  Every probe below explores the closure
+    of the generator, a vector of field scalars, under these operators
+    inside the window.
     """
 
-    def __init__(
-        self, field, ops, generator, sort_key, degree_of, window, tables=None, decided=None
-    ):
+    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables=None):
         self.field = field
         self.ops = ops
         self.generator = generator
@@ -71,12 +65,26 @@ class ModuleOps:
         self.degree_of = degree_of
         self.window = window
         self.tables = {} if tables is None else tables
-        self.decided = {} if decided is None else decided
+        # the ops that rows made by a vertex or a ghost walk, and those that
+        # rows made by an arrow walk
+        self._after_other = [op for op in ops if not op[0].startswith("v:")]
+        self._after_arrow = [op for op in self._after_other if not op[0].endswith("*")]
 
     def ops_after(self, made_by):
-        """The (name, fn) ops to walk on a row the op named made_by made."""
-        skip = self.decided.get(made_by, ())
-        return [(name, fn) for name, fn in self.ops if name not in skip]
+        """The (name, fn) ops to walk on a row the op named made_by made.
+
+        A seed, made by None, walks every op.  No other row walks a vertex:
+        u(v.x) = δ(u,v) v.x, v(a.x) = δ(v,s(a)) a.x and v(a*.x) = δ(v,r(a))
+        a*.x are the row or zero.  A row made by an arrow walks no ghost:
+        by e*f = δ(e,f) r(f), a*(a.x) is r(a).x, which the walk already
+        holds as x or its image under a vertex, and b*(a.x) is zero.  Only
+        seeds see ops given after the ModuleOps was built.
+        """
+        if made_by is None:
+            return self.ops
+        if made_by.startswith("v:") or made_by.endswith("*"):
+            return self._after_other
+        return self._after_arrow
 
     def apply(self, fn, vec):
         out, p = {}, self.field.characteristic
@@ -104,80 +112,65 @@ def _vertex_ops(graph, act):
     return [(f"v:{v}", lambda label, v=v: act(v, label)) for v in sorted(graph.vertices)]
 
 
+def _tabled(tables, name, act, arg, degree_of, window):
+    """The op (name, fn) whose fn tables act(arg, label) in tables[name],
+    storing None for an image past the window and EMPTY_IMAGE for zero."""
+    table = tables[name] = {}
+
+    def fn(lab):
+        try:
+            return table[lab]
+        except KeyError:
+            pass
+        img = act(arg, lab)
+        if not img:
+            img = EMPTY_IMAGE
+        elif max(map(degree_of, img)) > window:
+            img = None
+        table[lab] = img
+        return img
+
+    return name, fn
+
+
 def prefix_ops(space, window):
     """Operators of a prefix module: vertices, arrows, ghost arrows.
 
-    Each arrow and ghost operator tables its images, with the window guard
-    applied as an entry is stored.  The tables live as long as the returned
-    ModuleOps, so every closure and solve that reuses it shares them.
-
-    Every ghost is decided after every arrow: for a row a.x, a*(a.x) is
-    r(a).x, which the walk already holds as x itself or its image under
-    the vertex operator of r(a), and b*(a.x) is zero for b != a.
+    Each arrow and ghost operator tables its images.  The tables live as
+    long as the returned ModuleOps, so every closure and solve that reuses
+    it shares them.
     """
-    degree = space.degree
+    space.check_family_cap(window)
     tables = {}
-
-    def tabled(name, act, a):
-        table = tables[name] = {}
-
-        def fn(lab):
-            try:
-                return table[lab]
-            except KeyError:
-                pass
-            img = act(a, lab)
-            if not img:
-                img = EMPTY_IMAGE
-            elif max(map(degree, img)) > window:
-                img = None
-            table[lab] = img
-            return img
-
-        return name, fn
-
     ops = _vertex_ops(space.graph, space.act_vertex)
     arrows = space.active_arrows()
-    ops += [tabled(str(a), space.act_arrow, a) for a in arrows]
-    ops += [tabled(f"{a}*", space.act_ghost, a) for a in arrows]
-    ghosts = frozenset(f"{a}*" for a in arrows)
-    return ModuleOps(
-        space.field,
-        ops,
-        space.generator_vector(),
-        space.label_sort_key,
-        space.degree,
-        window,
-        tables,
-        dict.fromkeys(map(str, arrows), ghosts),
-    )
+    ops += [_tabled(tables, str(a), space.act_arrow, a, space.degree, window) for a in arrows]
+    ops += [_tabled(tables, f"{a}*", space.act_ghost, a, space.degree, window) for a in arrows]
+    gen = space.generator_vector()
+    return ModuleOps(space.field, ops, gen, space.label_sort_key, space.degree, window, tables)
 
 
 def staircase_ops(staircase):
-    """Operators of the quotient by a staircase ideal, a ghost side module."""
-    graph, field = staircase.graph, staircase.field
+    """Operators of the quotient by a staircase ideal, a ghost side module.
+
+    A ghost's image of a word is the normal form of the word extended by
+    its arrow.  An extended word past the degree holds no pivot, so it is
+    its own normal form, and the window guard drops it.
+    """
+    graph, field, degree = staircase.graph, staircase.field, staircase.degree
+    reduce = staircase._echelon.reduce
+
+    def ghost(a, p):
+        return reduce({p.concat(a): 1})[0] if p.target == a.source else EMPTY_IMAGE
+
+    tables = {}
     ops = _vertex_ops(graph, lambda v, p: {p: 1} if p.target == v else {})
-    for a in graph.all_arrows(staircase.family_cap):
-
-        def ghost(p, a=a):
-            if p.target != a.source:
-                return {}
-            if len(p) + 1 > staircase.degree:
-                return None
-            return encode(field, staircase.reduce({p.concat(a): field.one}))
-
-        ops.append((f"{a}*", ghost))
+    arrows = graph.all_arrows(staircase.family_cap)
+    ops += [_tabled(tables, f"{a}*", ghost, a, len, degree) for a in arrows]
     gen = staircase.reduce({Path.vertex(v): field.one for v in graph.vertices})
     if not gen:
         raise PreconditionError("the unit maps to zero in this quotient")
-    return ModuleOps(
-        field,
-        ops,
-        gen,
-        ghost_sort_key,
-        len,
-        staircase.degree,
-    )
+    return ModuleOps(field, ops, gen, ghost_sort_key, len, degree, tables)
 
 
 # -- spans ------------------------------------------------------------------------
@@ -213,8 +206,8 @@ class Closure:
 
         Each new row is queued with the name of the operator that made it
         and walks mod.ops_after that name; a seed walks every operator.  A
-        row is walked whole before the rows it makes, so the images skipped
-        after an arrow are already in the span.
+        row is walked whole before the rows it makes, so the images a row
+        skips are already in the span.
         """
         mod, ech = self.mod, self.echelon
         lead = None
@@ -469,39 +462,6 @@ def composition_probe(space, candidates, window):
 # -- endomorphisms ------------------------------------------------------------------
 
 
-# Symbolic vectors map labels to native rows over the variables, the
-# coordinates of the generator's image z.
-
-
-def _sym_apply(fn, sym, p):
-    out = {}
-    for lab, var_row in sym.items():
-        img = fn(lab)
-        if img is None:
-            return None
-        for lab2, c in img.items():
-            acc = out.setdefault(lab2, {})
-            add_native(acc, var_row, c, p)
-            if not acc:
-                del out[lab2]
-    return out
-
-
-def _sym_eval(sym, zvec, p):
-    out = {}
-    for lab, var_row in sym.items():
-        s = 0
-        for var, c in var_row.items():
-            zc = zvec.get(var)
-            if zc is not None:
-                s += c * zc
-        if p:
-            s %= p
-        if s:
-            out[lab] = s
-    return out
-
-
 def _express(field, free_vars, basis, vec):
     """Coordinates of a native vec over a native basis, decoded, or None."""
     p = field.characteristic
@@ -571,13 +531,14 @@ def endomorphism_probe(target, degree=None):
     determined by the image z of the generator; every relation witnessed
     inside the window between reachable vectors imposes a linear
     condition on z.  The image of the generator is constrained to degree
-    at most degree - 1 so that its whole orbit over the window stays
-    observable, and the reported dimension is an upper bound that is
-    reliable once two consecutive degrees agree.  The report carries the
-    solution space, the composition table over its basis, and honest
-    flags for window overflow.  A degree that leaves the generator itself
-    outside that range, so that not even the identity could be found,
-    raises PreconditionError.
+    at most degree - 1, the variable degree, so that its whole orbit over
+    the window stays observable.  The reported dimension is an upper bound
+    on the endomorphisms that move the generator within the variable
+    degree; that two degrees agree does not make it exact.  The
+    report carries the solution space, the composition table over its
+    basis, and honest flags for window overflow.  A degree that leaves the
+    generator itself outside that range, so that not even the identity
+    could be found, raises PreconditionError.
 
     As in Closure.extend, a row walks mod.ops_after the operator that made
     it.  The equations the skipped operators would give are zero on a graph
@@ -602,6 +563,11 @@ def endomorphism_probe(target, degree=None):
     field = mod.field
     p = field.characteristic
     var_index = {v: i for i, v in enumerate(variables)}
+    # Row i is the image of the generator under a word of the operators.
+    # Its symbolic image, syms[i], maps each variable to the image of the
+    # variable's label under that word, when it is nonzero: the word's
+    # image of z is the sum of z[var] * syms[i][var].  It is None when an
+    # image leaves the window.
     rows = [encode(field, mod.generator)]
     syms = [{v: {v: 1} for v in variables}]
     ech = SpanEchelon(field, mod.sort_key)
@@ -612,13 +578,19 @@ def endomorphism_probe(target, degree=None):
     queue = deque([(0, None)])
     while queue:
         i, made_by = queue.popleft()
-        sym_i = syms[i]
         for name, fn in mod.ops_after(made_by):
             img = mod.apply(fn, rows[i])
             if img is None:
                 overflow = True
                 continue
-            sym_img = None if sym_i is None else _sym_apply(fn, sym_i, p)
+            sym_img = None if syms[i] is None else {}
+            for var, vec in (syms[i] or {}).items():
+                out = mod.apply(fn, vec)
+                if out is None:
+                    sym_img = None
+                    break
+                if out:
+                    sym_img[var] = out
             new = len(rows)
             rel = ech.relation(img, new)
             if rel is None:
@@ -626,20 +598,23 @@ def endomorphism_probe(target, degree=None):
                 syms.append(sym_img)
                 queue.append((new, name))
                 continue
-            # The equation is the sum of rel[j] * syms[j], where the image's
-            # own symbolic vector sits at the new index, with coefficient 1.
+            # The sum of rel[j] * syms[j], where the image's own symbolic
+            # image sits at the new index, must vanish: transposed, each
+            # label it holds gives one equation over the variables.  They
+            # come out roughly in label order, and inserted from the last
+            # label back they leave the constraints less to eliminate.
             if sym_img is None or any(syms[j] is None for j in rel if j != new):
                 continue
-            eq = {lab: dict(var_row) for lab, var_row in sym_img.items()}
+            total = {}
             for j, c in rel.items():
-                if j != new:
-                    for lab, var_row in syms[j].items():
-                        acc = eq.setdefault(lab, {})
-                        add_native(acc, var_row, c, p)
-                        if not acc:
-                            del eq[lab]
-            for var_row in eq.values():
-                eq_count += 1
+                for var, vec in (sym_img if j == new else syms[j]).items():
+                    add_native(total.setdefault(var, {}), vec, c, p)
+            eqs = {}
+            for var, vec in total.items():
+                for lab, c in vec.items():
+                    eqs.setdefault(lab, {})[var] = c
+            eq_count += len(eqs)
+            for var_row in reversed(eqs.values()):
                 constraints.insert(var_row)
     free_vars = [v for v in variables if v not in constraints.rows]
     basis = constraints.kernel(variables)
@@ -652,9 +627,12 @@ def endomorphism_probe(target, degree=None):
             for i, zi in enumerate(basis):
                 cell = None
                 if usable:
+                    # the composite sends the generator to the rows' words applied to zi
                     image = {}
                     for k, c in combo.items():
-                        add_native(image, _sym_eval(syms[k], zi, p), c, p)
+                        for var, vec in syms[k].items():
+                            if var in zi:
+                                add_native(image, vec, c * zi[var], p)
                     cell = _express(field, free_vars, basis, image)
                 table[(i, j)] = cell
                 closes = closes and cell is not None
@@ -679,6 +657,7 @@ def annihilator_staircase(space, vec, degree):
     list of kernel ghost vectors; their leading words form the pivot set
     of the annihilator staircase at this degree.
     """
+    space.check_family_cap(degree)
     field = space.field
     vec = encode(field, vec)
     ech = SpanEchelon(field, space.label_sort_key)

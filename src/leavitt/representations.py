@@ -258,6 +258,21 @@ class PrefixModule:
     def active_arrows(self):
         return self.graph.all_arrows(self.family_cap)
 
+    def read_arrows(self, degree):
+        """The arrows of the generator's path and of the ghost table."""
+        return [*self.generator_label[0].arrows, *(a for a, _ in self.ghost)]
+
+    def check_family_cap(self, degree):
+        """Refuse a module that reads, up to degree, a family member that
+        the cap leaves out: the probes would act as if it did not exist."""
+        members = (a for a in self.read_arrows(degree) if a.index is not None)
+        last = max(members, key=lambda a: a.index, default=None)
+        if last is not None and last.index >= self.family_cap:
+            raise PreconditionError(
+                f"the module reads {last}, a family member that family cap {self.family_cap} "
+                f"leaves out; a cap of {last.index + 1} or more covers it"
+            )
+
     # vectors ------------------------------------------------------------------
 
     def _apply(self, action, arg, vec):
@@ -318,6 +333,7 @@ def verify_representation(space, max_degree):
     regular vertex not listed in the space's ck2_exempt metadata.  Exempt
     vertices are reported, not silently skipped.
     """
+    space.check_family_cap(max_degree)
     labels = space.labels(max_degree)
     arrows = space.active_arrows()
     apply, act_arrow, act_ghost = space._apply, space.act_arrow, space.act_ghost
@@ -420,6 +436,9 @@ class _GeneratorChenModule(PrefixModule):
             "a generator backed word identifies one label per offset, without bound, "
             "so its rules are not finite"
         )
+
+    def read_arrows(self, degree):
+        return [*self.generator_label[0].arrows, *map(self.tail.fn, range(degree + 1))]
 
     def slot_list(self, max_degree):
         return [("off", k) for k in range(max_degree + 1)]

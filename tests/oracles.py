@@ -12,7 +12,7 @@ from fractions import Fraction
 from leavitt.algebra import Element
 from leavitt.digraph import Path, ghost_sort_key
 from leavitt.linalg import SpanEchelon, decode, encode
-from leavitt.probes import prefix_ops
+from leavitt.probes import prefix_ops, staircase_ops
 from leavitt.representations import substitute
 from leavitt.schreier import element_to_ghost, ghost_to_element
 
@@ -144,16 +144,26 @@ def dense_closure(space, seeds, window):
     return span, overflowed
 
 
-def unpruned_ops(space, window):
-    """prefix_ops with its decided table dropped.
+def walk_every_op(mod):
+    """mod with its pruning dropped: every row walks every operator.
 
-    Closures and the commutant solve then apply every operator to every
-    row, ghosts after arrows included, and do not lean on e*f = δ(e,f) r(f):
-    the reference that the pruned walks are compared against.
+    Closures and the commutant solve then apply the vertices after every
+    operator and the ghosts after arrows too, and do not lean on
+    v.(a.x) = δ(v,s(a)) a.x or e*f = δ(e,f) r(f): the reference that the
+    pruned walks are compared against.
     """
-    mod = prefix_ops(space, window)
-    mod.decided = {}
+    mod.ops_after = lambda made_by: mod.ops
     return mod
+
+
+def unpruned_ops(space, window):
+    """prefix_ops, walking every operator on every row."""
+    return walk_every_op(prefix_ops(space, window))
+
+
+def unpruned_staircase_ops(staircase):
+    """staircase_ops, walking every operator on every row."""
+    return walk_every_op(staircase_ops(staircase))
 
 
 # -- pairwise Cohn products ------------------------------------------------------

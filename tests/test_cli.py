@@ -737,6 +737,13 @@ def test_an_arrow_given_two_values_exits_2(roseab_file, construction):
     assert "the arrow a is given more than one value" in err
 
 
+def test_an_empty_piece_of_an_arrow_value_list_is_skipped(roseab_file):
+    argv = ["module", "--graph", roseab_file, "mantese", "--probe", "endo", "--degree", "3"]
+    plain = run_cli([*argv, "--weights", "a=1,b=1"])
+    assert plain[0] == 0
+    assert run_cli([*argv, "--weights", "a=1,,b=1, ,"]) == plain
+
+
 @pytest.mark.parametrize("extra", [["--algebra", "ext:1,0,1"], ["--phi", "a=1,b=1"]])
 def test_quat_with_algebra_or_phi_exits_1(roseab_file, extra):
     argv = ["module", "--graph", roseab_file, "hilbert", "--quat", "1", "1", *extra]
@@ -870,6 +877,33 @@ def test_precondition_errors_exit_3(loopfam_file):
     code, _, err = run_cli(["module", "--graph", loopfam_file, "linear"])
     assert code == 3
     assert "two loops" in err
+
+
+def test_a_module_on_a_family_member_past_the_cap_exits_3(loopfam_file):
+    # Below cap 6 the chain would run as if f[5] did not exist and report
+    # one factor; the refusal names the cap that covers it.
+    argv = ["module", "--graph", loopfam_file, "rangaswamy", "--period", "f[5]", "--poly", "1,1"]
+    argv += ["--probe", "chain", "--degree", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the module reads f[5], a family member that family cap 2 leaves out; "
+        "a cap of 6 or more covers it\n"
+    )
+    code, out, _ = run_cli([*argv, "--family-cap", "6"])
+    assert code == 0
+    assert lines_of(out)["length"] == "2"
+    chen = ["module", "--graph", loopfam_file, "chen", "--word", "rational:f[3]", "--probe", "verify"]
+    code, out, err = run_cli([*chen, "--family-cap", "1"])
+    assert (code, out) == (3, "")
+    assert "a cap of 4 or more" in err
+    code, out, _ = run_cli([*chen, "--family-cap", "4"])
+    assert code == 0
+    assert lines_of(out)["verify"] == "pass"
+    # a Thue-Morse word reads f[3] from its second letter on
+    tm = ["module", "--graph", loopfam_file, "chen", "--word", "tm:a,f[3]", "--degree"]
+    assert run_cli([*tm, "0"])[0] == 0
+    assert run_cli([*tm, "1"])[0] == 3
 
 
 def test_endomorphism_probe_below_the_generator_degree_exits_3(roseab_file):

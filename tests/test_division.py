@@ -80,6 +80,15 @@ def test_is_irreducible_over_q_past_degree_three(q):
     assert is_irreducible(q, [q.of(c) for c in (-1000003, 1, -1000003, 1)]) is False
     # past the divisor scan cap the rational root test does not run
     assert is_irreducible(q, [q.of(10**13), q.zero, q.one]) is None
+    # A prime dividing the leading coefficient is skipped, since modulo it
+    # the degree drops: (2x^2 + x + 1)(x^2 + x + 1) is x^3 + 1 modulo 2, to
+    # which Rabin's test, handed the degree 4 coefficient list, says
+    # irreducible; modulo every other prime it is reducible.
+    assert is_irreducible(q, poly(1, 2, 4, 3, 2)) is None
+    assert is_irreducible(q, poly(1, 1, 0, 0, 2)) is True  # 2x^4 + x + 1, irreducible mod 3
+    # 2x^3 + 2x + 2: the root candidates p/q include 2/2, which is not in
+    # lowest terms and is skipped; no candidate is a root
+    assert is_irreducible(q, poly(2, 2, 0, 2)) is True
 
 
 # degree 5 is the first where a reducible f has no factor whose degree

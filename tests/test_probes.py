@@ -42,7 +42,14 @@ from leavitt.linalg import SpanEchelon, add_native, decode, encode
 from leavitt.probes import Closure, ModuleOps, prefix_ops, span_closure, staircase_ops
 
 from conftest import TWOLOOP_TAIL
-from oracles import DenseSpan, dense_closure, paths_by_target, random_ghost_element, unpruned_ops
+from oracles import (
+    DenseSpan,
+    dense_closure,
+    paths_by_target,
+    random_ghost_element,
+    unpruned_ops,
+    unpruned_staircase_ops,
+)
 from test_schreier import QUAT_GENS
 
 
@@ -322,7 +329,8 @@ def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
     # Pins the kernel's work on the README quaternion ideal: a change to
     # the elimination path changes these counts.  The endomorphism probe
     # lists no vertex operator on the one-vertex roseab, so it inserts no
-    # row's own image.
+    # row's own image, and its ghost operators table their images, so it
+    # reduces each extended word once.
     calls = {"insert": 0, "reduce": 0}
     for name in calls:
         method = getattr(SpanEchelon, name)
@@ -340,7 +348,7 @@ def test_span_echelon_work_on_the_quaternion_staircase(roseab, monkeypatch):
     assert not_open_up_to(roseab, gf, st.membership, 8) == ("not_open_up_to", 8)
     assert calls == {"insert": 507, "reduce": 9}
     assert endomorphism_probe(st).dimension == 1
-    assert calls == {"insert": 526, "reduce": 51}
+    assert calls == {"insert": 526, "reduce": 19}
 
 
 def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypatch):
@@ -368,6 +376,31 @@ def test_kernel_and_action_work_on_the_weighted_point_module(roseab, q, monkeypa
     report = endomorphism_probe(mantese_module(roseab, q, "v", {a: q.one, b: q.one}), 4)
     assert (report.dimension, report.table_closes, report.equations) == (1, True, 30)
     assert calls == {"insert": 50, "reduce": 1, "act_vertex": 0, "act_arrow": 32, "act_ghost": 16}
+
+
+def test_walk_work_on_sink3(sink3, q, monkeypatch):
+    # Pins the walks' work on the three vertices of sink3, where only
+    # seeds walk the vertex operators.  The closure of the Cohn module at
+    # w (window 4) makes 6 inserts: the seed, its image under w, which is
+    # the seed again, and the paths h, e.h, g.e.h and e.g.e.h into w.  The
+    # commutant of L / L.w at degree 3 makes 38 inserts and 19 reductions:
+    # the ghost images of a word are reduced once, when they are tabled.
+    calls = {"insert": 0, "reduce": 0}
+    for name in calls:
+
+        def counted(self, *args, _method=getattr(SpanEchelon, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SpanEchelon, name, counted)
+    M = cohn_jacobson_module(sink3, q, "w")
+    assert cyclic_submodule(M, [M.generator_vector()], 4).dim == 5
+    assert calls == {"insert": 6, "reduce": 0}
+    st = SchreierStaircase(sink3, q, [parse_element(sink3, q, "w")], 3)
+    calls.update(insert=0, reduce=0)
+    report = endomorphism_probe(st)
+    assert (report.dimension, report.equations) == (6, 4)
+    assert calls == {"insert": 38, "reduce": 19}
 
 
 # -- closures ---------------------------------------------------------------------
@@ -893,15 +926,17 @@ def test_walks_that_skip_decided_ghosts_match_full_walks(
     loopfam, abfam, roseab, sink3, tag, window, monkeypatch
 ):
     # Rows made by an arrow skip every ghost, since e*f = δ(e,f) r(f)
-    # decides those images.  Walks that apply every operator to every row
-    # give the same spans and the same commutant.  Only the count of
-    # equations may drop, and only on graphs with two or more vertices,
-    # where the skipped ones repeat the vertex operators' equations.
+    # decides those images, and only seeds walk the vertices.  Walks that
+    # apply every operator to every row give the same spans and the same
+    # commutant.  Only the count of equations may drop, and only on graphs
+    # with two or more vertices, where the skipped ones repeat the vertex
+    # operators' equations.
     field = parse_field(tag)
     modules = pruned_modules(loopfam, abfam, roseab, sink3, field)
     for name, M in modules.items():
         pruned, full = prefix_ops(M, window), unpruned_ops(M, window)
-        assert pruned.decided and not full.decided, name
+        arrow = str(M.active_arrows()[0])
+        assert len(pruned.ops_after(arrow)) < len(full.ops_after(arrow)) == len(full.ops), name
         samples = [[seed] for seed in random_seeds(M, field, random.Random(name), 2, window)]
         for seeds in ([M.generator_vector()], chain_candidates(M), *samples):
             got, want = span_closure(pruned, seeds), span_closure(full, seeds)
@@ -922,6 +957,37 @@ def test_walks_that_skip_decided_ghosts_match_full_walks(
             dropped.add(name)
     assert dropped <= {name for name, M in modules.items() if len(M.graph.vertices) > 1}
     assert "cohn_sink3" in dropped
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_staircase_walks_that_skip_vertices_match_full_walks(sink3, tag, monkeypatch):
+    # A staircase quotient has ghost and vertex operators, and only seeds
+    # walk the vertices: v(a*.x) = δ(v,r(a)) a*.x is the row or zero.  On
+    # the several-vertex quotients of sink3 by w and of the tail graph by
+    # a*.a* - v and b* - a*, walks that apply every operator to every row
+    # give the same spans and the same commutant, equations included.
+    field = parse_field(tag)
+    tail = parse_graph(TWOLOOP_TAIL)
+    ideals = [(sink3, ["w"]), (tail, ["a*.a* - v", "b* - a*"])]
+    staircases = [
+        SchreierStaircase(graph, field, [parse_element(graph, field, t) for t in ideal], degree)
+        for graph, ideal in ideals
+        for degree in (2, 3, 4)
+    ]
+
+    def report(r):
+        return (r.dimension, r.basis, r.table, r.unit_coords, r.independent, r.equations, r.overflowed)
+
+    pruned = [report(endomorphism_probe(st)) for st in staircases]
+    for st in staircases:
+        mod, full = staircase_ops(st), unpruned_staircase_ops(st)
+        assert len(mod.ops_after("e*" if st.graph is sink3 else "a*")) < len(full.ops)
+        got, want = span_closure(mod, [mod.generator]), span_closure(full, [full.generator])
+        assert got.echelon.pivots() == want.echelon.pivots()
+        assert (got.dim, got.overflowed) == (want.dim, want.overflowed)
+    monkeypatch.setattr(probes, "staircase_ops", unpruned_staircase_ops)
+    assert [report(endomorphism_probe(st)) for st in staircases] == pruned
+    assert all(r[5] for r in pruned)  # every report has equations
 
 
 # Modules with a proper submodule, and a window at which even the socle
@@ -1083,58 +1149,52 @@ def test_endomorphism_probe_gaussian_point(roseab, q):
     assert square == tuple(-c for c in report.unit_coords)
 
 
-def _sym_apply_summed_then_dropped(cancelled):
-    """_sym_apply that sums every row in full and drops the zero rows at the end.
+class KeptEmpty(dict):
+    """An empty image that is truthy, so that a walk keeps it."""
 
-    Each label whose row had terms but summed to zero goes into cancelled.
-    """
-
-    def apply(fn, sym, p):
-        out = {}
-        for lab, var_row in sym.items():
-            img = fn(lab)
-            if img is None:
-                return None
-            for lab2, c in img.items():
-                row = out.setdefault(lab2, {})
-                for var, x in var_row.items():
-                    row[var] = row.get(var, 0) + c * x
-        kept = {}
-        for lab2, row in out.items():
-            row = {var: x % p if p else x for var, x in row.items()}
-            row = {var: x for var, x in row.items() if x}
-            if row:
-                kept[lab2] = row
-            else:
-                cancelled.append(lab2)
-        return kept
-
-    return apply
+    def __bool__(self):
+        return True
 
 
 @pytest.mark.parametrize("tag", ["q", "gf:7"])
 def test_endomorphism_probe_drops_rows_that_cancel(roseab, tag, monkeypatch):
-    # a* sends a* to a*.a* = b* - v, and a*.b* = a* = a*.v, so in a*.a*
-    # applied to the generic image z the terms 1 and -1 at a* cancel.
+    # On roseab modulo a*.a* - b* + v and a*.b* - a*, the symbolic image of
+    # the variable at a* under a* is a*.a* = b* - v, and under a* again it
+    # is a*.b* - a*.v = a* - a* = 0.  The probe drops every empty image, so
+    # it never applies an operator to one.  A probe that keeps them gives
+    # the same reports: there, and on the tail graph modulo a*.a* - b*.b*,
+    # where it walks the kept images on.
     field = parse_field(tag)
+    tail = parse_graph(TWOLOOP_TAIL)
     gens = [parse_element(roseab, field, t) for t in ("a*.a* - b* + v", "a*.b* - a*")]
-    st = SchreierStaircase(roseab, field, gens, 2)
-    sym_apply, rows = probes._sym_apply, []
+    staircases = [
+        SchreierStaircase(roseab, field, gens, 2),
+        SchreierStaircase(tail, field, [parse_element(tail, field, "a*.a* - b*.b*")], 4),
+    ]
+    apply, empty_in, cancelled = ModuleOps.apply, [], []
 
-    def recorded(fn, sym, p):
-        out = sym_apply(fn, sym, p)
-        rows.extend(() if out is None else out.values())
+    def recorded(self, fn, vec, keep=False):
+        out = apply(self, fn, vec)
+        if vec == {}:
+            empty_in.append(fn)
+        elif out == {}:
+            cancelled.append(vec)
+            if keep:
+                return KeptEmpty()
         return out
 
-    monkeypatch.setattr(probes, "_sym_apply", recorded)
-    got = endomorphism_probe(st)
-    assert rows and all(rows)
-    cancelled = []
-    monkeypatch.setattr(probes, "_sym_apply", _sym_apply_summed_then_dropped(cancelled))
-    want = endomorphism_probe(st)
-    assert parse_path(roseab, "a") in cancelled
-    for name in ("dimension", "basis", "unit_coords", "table", "equations", "independent"):
-        assert getattr(got, name) == getattr(want, name), name
+    def reports():
+        names = ("dimension", "basis", "unit_coords", "table", "equations", "independent")
+        return [[getattr(endomorphism_probe(st), n) for n in names] for st in staircases]
+
+    monkeypatch.setattr(ModuleOps, "apply", recorded)
+    got = reports()
+    assert not empty_in
+    b, v = parse_path(roseab, "b"), parse_path(roseab, "v")
+    assert encode(field, {b: field.one, v: -field.one}) in cancelled
+    monkeypatch.setattr(ModuleOps, "apply", lambda self, fn, vec: recorded(self, fn, vec, keep=True))
+    assert reports() == got
+    assert empty_in
 
 
 def test_endomorphism_probe_tables_at_most_sixteen_dimensions(q):

@@ -9,6 +9,7 @@ from leavitt import (
     Path,
     PrefixModule,
     SchreierStaircase,
+    annihilator_staircase,
     chen_module,
     cohn_jacobson_module,
     cyclic_submodule,
@@ -230,6 +231,16 @@ def test_cohn_jacobson_at_sink(sink3, q):
     assert M.vector_str(lifted) == "h.s"
     assert M.ghost_apply(h, lifted) == gen
     assert_verifies(M, 4)
+
+
+def test_a_monomial_whose_arrow_kills_the_vector_acts_by_zero(sink3, q):
+    # h.h* fixes the path h into w; in e.h* the ghost h* takes h to the
+    # bare vector at w, which e, an arrow into v, kills.
+    M = cohn_jacobson_module(sink3, q, "w")
+    e, h = parse_path(sink3, "e"), parse_path(sink3, "h")
+    vec = {(h, "s"): q.one}
+    assert M.act_monomial(h, h, vec) == vec
+    assert M.act_monomial(e, h, vec) == {}
 
 
 def test_cohn_jacobson_at_infinite_emitter(roseinf, q):
@@ -534,6 +545,41 @@ def test_nested_identified_labels_are_rejected(rose2, q):
     }
     with pytest.raises(PreconditionError, match="ends in another"):
         M.rewrite_step(parse_path(rose2, "x1"), "s")
+
+
+def test_modules_on_a_family_member_past_the_cap_are_refused(loopfam, abfam, q):
+    # The probes act by the family members below the cap only, so a module
+    # whose generator's path or ghost table reads one at or past it would
+    # be probed as if that arrow did not exist.  Each probe refuses it and
+    # names the least cap that covers the member; a generator backed word
+    # is checked on the letters it reads up to the degree asked.
+    a, f3, f5 = loops(loopfam, "a", "f[3]", "f[5]")
+    fa, f2 = loops(abfam, "a", "f[2]")
+    D = field_extension(q, [q.one, q.zero, q.one])
+    word = InfiniteWord(parse_path(loopfam, "f[3]"), CycleTail(parse_path(loopfam, "a")))
+    builds = [
+        (6, lambda cap: rangaswamy_module(loopfam, q, Path.of_arrows((f5,)), [q.one, q.one], cap)),
+        (4, lambda cap: chen_module(loopfam, q, periodic_word(Path.of_arrows((f3,))), cap)),
+        (4, lambda cap: chen_module(loopfam, q, word, cap)),  # in the generator's path
+        (3, lambda cap: mantese_module(abfam, q, "v", {fa: q.one, f2: q.one}, cap)),
+        (3, lambda cap: linear_example_module(abfam, q, fa, f2, "linear", cap)),
+        (6, lambda cap: hilbert_module(loopfam, q, "v", D, {a: D.one, f5: D.basis("x")}, cap)),
+    ]
+    probes = (
+        verify_representation,
+        lambda M, degree: cyclic_submodule(M, [M.generator_vector()], degree),
+        lambda M, degree: annihilator_staircase(M, M.generator_vector(), degree),
+    )
+    for least, build in builds:
+        for probe in probes:
+            with pytest.raises(PreconditionError, match=f"a cap of {least} or more covers it"):
+                probe(build(least - 1), 3)
+            probe(build(least), 3)
+    tm = chen_module(loopfam, q, thue_morse_word(loopfam, a, f3))  # a f[3] f[3] a ...
+    assert_verifies(tm, 0)
+    with pytest.raises(PreconditionError, match=r"reads f\[3\], .* a cap of 4 or more"):
+        verify_representation(tm, 1)
+    assert_verifies(chen_module(loopfam, q, thue_morse_word(loopfam, a, f3), 4), 3)
 
 
 GF7 = parse_field("gf:7")
