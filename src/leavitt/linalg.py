@@ -134,7 +134,17 @@ class SpanEchelon:
         already in the span, and then the remainder is empty.  Otherwise
         the remainder is only reduced down to its leading key, the new
         pivot.  tag names this raw row in later combos.
+
+        A vector of one key that is not a pivot is its own remainder and
+        becomes the row {key: 1} without elimination.
         """
+        if len(vec) == 1:
+            ((key, c),) = vec.items()
+            if key not in self.rows:
+                self.rows[key] = {key: 1}
+                if tag is not None:
+                    self.tags[key] = self._scaled(tag, self.field.native_inverse(c))
+                return {key: c}, {}, key
         rem, combo, pivot = self._eliminate(vec, True)
         if pivot is not None:
             inv = self.field.native_inverse(rem[pivot])

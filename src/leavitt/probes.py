@@ -20,15 +20,19 @@ vertex gets no vertex operator, since its idempotent is the unit (one rule,
 _vertex_ops, lists them for both kinds of module); only a seed walks the
 vertex operators, and no ghost walks a row made by an arrow, since the
 relations put each such image in the span already (ModuleOps.ops_after);
-the run of whole degrees a closure holds is read off its pivots; and a
-sample closure stops walking once it holds the generator, which is all
-the simplicity probe asks of it then.
+on a module whose prepends are free, an arrow's image of a label at the
+window's top degree is known to leave the window and is never built; a
+row of one label that is not yet a pivot is stored without elimination
+(SpanEchelon.insert); the run of whole degrees a closure holds is read
+off its pivots and the unsorted walk of the labels; and a sample closure
+stops walking once it holds the generator, which is all the simplicity
+probe asks of it then.
 
 Every public function and method takes and returns field scalars: vectors
-are encoded once as they come in, as Closure seeds and contains
-arguments, and decoded once on the way out, as witnesses, socle and
-annihilator vectors, and the basis, unit_coords and table of an
-EndomorphismReport.
+are encoded once as they come in, as Closure seeds, goals and contains
+arguments, which ModuleOps.canonical also reduces to their classes there,
+and decoded once on the way out, as witnesses, socle and annihilator
+vectors, and the basis, unit_coords and table of an EndomorphismReport.
 """
 
 import random
@@ -54,17 +58,19 @@ class ModuleOps:
     again, so it is read-only to callers; tables maps the name of each
     tabled operator to its table.  Every probe below explores the closure
     of the generator, a vector of field scalars, under these operators
-    inside the window.
+    inside the window.  canonical maps a native vector to its class over
+    the basis labels.
     """
 
-    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables=None):
+    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables, canonical):
         self.field = field
         self.ops = ops
         self.generator = generator
         self.sort_key = sort_key
         self.degree_of = degree_of
         self.window = window
-        self.tables = {} if tables is None else tables
+        self.tables = tables
+        self.canonical = canonical
         # the ops that rows made by a vertex or a ghost walk, and those that
         # rows made by an arrow walk
         self._after_other = [op for op in ops if not op[0].startswith("v:")]
@@ -112,9 +118,15 @@ def _vertex_ops(graph, act):
     return [(f"v:{v}", lambda label, v=v: act(v, label)) for v in sorted(graph.vertices)]
 
 
-def _tabled(tables, name, act, arg, degree_of, window):
+def _tabled(tables, name, act, arg, degree_of, window, free=False):
     """The op (name, fn) whose fn tables act(arg, label) in tables[name],
-    storing None for an image past the window and EMPTY_IMAGE for zero."""
+    storing None for an image past the window and EMPTY_IMAGE for zero.
+
+    With free set, act is a free prepend of the arrow arg: its image of a
+    label is the one label one degree up, or zero when the arrow does not
+    end where the label starts.  A label at the window's top degree then
+    goes past the window, and its image is never built.
+    """
     table = tables[name] = {}
 
     def fn(lab):
@@ -122,11 +134,14 @@ def _tabled(tables, name, act, arg, degree_of, window):
             return table[lab]
         except KeyError:
             pass
-        img = act(arg, lab)
-        if not img:
-            img = EMPTY_IMAGE
-        elif max(map(degree_of, img)) > window:
-            img = None
+        if free and degree_of(lab) >= window:
+            img = None if lab[0].source == arg.target else EMPTY_IMAGE
+        else:
+            img = act(arg, lab)
+            if not img:
+                img = EMPTY_IMAGE
+            elif not free and max(map(degree_of, img)) > window:
+                img = None
         table[lab] = img
         return img
 
@@ -142,12 +157,22 @@ def prefix_ops(space, window):
     """
     space.check_family_cap(window)
     tables = {}
+    free, degree = space.free_prepend, space.degree
     ops = _vertex_ops(space.graph, space.act_vertex)
     arrows = space.active_arrows()
-    ops += [_tabled(tables, str(a), space.act_arrow, a, space.degree, window) for a in arrows]
-    ops += [_tabled(tables, f"{a}*", space.act_ghost, a, space.degree, window) for a in arrows]
+    ops += [_tabled(tables, str(a), space.act_arrow, a, degree, window, free) for a in arrows]
+    ops += [_tabled(tables, f"{a}*", space.act_ghost, a, degree, window) for a in arrows]
+
+    def canonical(vec):
+        acc = {}
+        for (mu, slot), c in vec.items():
+            space.canonical_into(acc, mu, slot, c)
+        return acc
+
     gen = space.generator_vector()
-    return ModuleOps(space.field, ops, gen, space.label_sort_key, space.degree, window, tables)
+    return ModuleOps(
+        space.field, ops, gen, space.label_sort_key, degree, window, tables, canonical
+    )
 
 
 def staircase_ops(staircase):
@@ -160,8 +185,11 @@ def staircase_ops(staircase):
     graph, field, degree = staircase.graph, staircase.field, staircase.degree
     reduce = staircase._echelon.reduce
 
+    def canonical(vec):
+        return reduce(vec)[0]
+
     def ghost(a, p):
-        return reduce({p.concat(a): 1})[0] if p.target == a.source else EMPTY_IMAGE
+        return canonical({p.concat(a): 1}) if p.target == a.source else EMPTY_IMAGE
 
     tables = {}
     ops = _vertex_ops(graph, lambda v, p: {p: 1} if p.target == v else {})
@@ -170,7 +198,7 @@ def staircase_ops(staircase):
     gen = staircase.reduce({Path.vertex(v): field.one for v in graph.vertices})
     if not gen:
         raise PreconditionError("the unit maps to zero in this quotient")
-    return ModuleOps(field, ops, gen, ghost_sort_key, len, degree, tables)
+    return ModuleOps(field, ops, gen, ghost_sort_key, len, degree, tables, canonical)
 
 
 # -- spans ------------------------------------------------------------------------
@@ -193,8 +221,12 @@ class Closure:
     def dim(self):
         return self.echelon.rank
 
+    def _class(self, vec):
+        """The native class of a vector of field scalars."""
+        return self.mod.canonical(encode(self.mod.field, vec))
+
     def contains(self, vec):
-        return self.echelon.contains(encode(self.mod.field, vec))
+        return self.echelon.contains(self._class(vec))
 
     def extend(self, seeds, goal=None):
         """Add the seeds and everything the operators reach from them.
@@ -212,7 +244,7 @@ class Closure:
         mod, ech = self.mod, self.echelon
         lead = None
         if goal is not None:
-            goal = encode(mod.field, goal)
+            goal = self._class(goal)
             # every vector of the span leads with a pivot, so the goal can
             # lie in it only once its leading label is one
             lead = max(goal, key=mod.sort_key, default=None)
@@ -222,9 +254,13 @@ class Closure:
 
         queue = deque()
         for seed in seeds:
-            if any(mod.degree_of(l) > mod.window for l in seed):
-                raise PreconditionError("seed vector does not fit in the window")
-            seed = encode(mod.field, seed)
+            seed = self._class(seed)
+            deg = max(map(mod.degree_of, seed), default=mod.window)
+            if deg > mod.window:
+                raise PreconditionError(
+                    f"a seed vector has degree {deg}, so a closure of it needs "
+                    f"degree at least {deg}, not {mod.window}"
+                )
             if ech.insert(seed)[2] is not None:
                 if reached():
                     return self
@@ -439,14 +475,13 @@ def composition_probe(space, candidates, window):
                 "vertex": vertex,
             }
         )
-    # Labels come sorted by degree, and each row's tail sorts below its
-    # pivot, so every label up to the first one that is not a pivot lies in
-    # the span, and that one does not: it ends the run of whole degrees.
-    exhausted = window
-    for lab in space.labels(window):
-        if lab not in cl.echelon.rows:
-            exhausted = space.degree(lab) - 1
-            break
+    # Each row's tail sorts below its pivot, and labels sort by degree
+    # first, so every label below the least degree of a label that is not
+    # a pivot lies in the span: that degree ends the run of whole degrees.
+    # The unsorted walk of the labels finds it without sorting them.
+    rows = cl.echelon.rows
+    missing = (space.degree(lab) for lab in space.walk_labels(window) if lab not in rows)
+    exhausted = min(missing, default=window + 1) - 1
     return {
         "length": len(candidates),
         "strict": all(f["strict"] for f in factors),

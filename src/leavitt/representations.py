@@ -144,11 +144,13 @@ class PrefixModule:
                 )
         return table, sorted({len(mu) for mu, _ in table})
 
-    @property
+    @cached_property
     def free_prepend(self):
         """True when no label is identified away, so prepending a path
         raises the degree of every component by exactly the path length.
-        Probes use this to turn windowed span checks into certificates."""
+        act_arrow then only prepends, and probes use this to turn windowed
+        span checks into certificates and to know an arrow's image past
+        the window without building it."""
         return not self._rules
 
     def rewrite_step(self, mu, slot):
@@ -207,6 +209,12 @@ class PrefixModule:
 
     def labels(self, max_degree):
         """All legal labels of degree at most max_degree, sorted."""
+        out = self.walk_labels(max_degree)
+        out.sort(key=self.label_sort_key)
+        return out
+
+    def walk_labels(self, max_degree):
+        """The labels of labels(max_degree), slot by slot, shortest path first."""
         incoming = {}
         for a in self.graph.all_arrows(self.family_cap):
             incoming.setdefault(a.target, []).append(a)
@@ -228,7 +236,6 @@ class PrefixModule:
                             nxt.append(mu2)
                 out.extend((mu, slot) for mu in nxt)
                 frontier = nxt
-        out.sort(key=self.label_sort_key)
         return out
 
     def generator_vector(self):
@@ -245,6 +252,8 @@ class PrefixModule:
         mu, slot = label
         if arrow.target != mu.source:
             return {}
+        if self.free_prepend:
+            return {(mu.prepend(arrow), slot): 1}
         return self.canonical_into({}, mu.prepend(arrow), slot, 1)
 
     def act_ghost(self, arrow, label):

@@ -166,6 +166,34 @@ def unpruned_staircase_ops(staircase):
     return walk_every_op(staircase_ops(staircase))
 
 
+def guarded_arrow_image(space, arrow, label, window):
+    """An arrow table's entry for label, built the long way.
+
+    The prepend is rewritten to its class by canonical_into, whether or not
+    the module identifies a label, and dropped as None when a label of the
+    class has degree above the window; a zero image is {}.
+    """
+    mu, slot = label
+    if arrow.target != mu.source:
+        return {}
+    img = space.canonical_into({}, mu.prepend(arrow), slot, 1)
+    if img and max(space.degree(lab) for lab in img) > window:
+        return None
+    return img
+
+
+def sorted_exhausts_degree(space, pivots, window):
+    """The last degree whose labels all lie among pivots, or window if all do.
+
+    The labels of degree at most window are sorted by degree and scanned
+    up to the first one that is not a pivot.
+    """
+    for lab in sorted(space.labels(window), key=space.degree):
+        if lab not in pivots:
+            return space.degree(lab) - 1
+    return window
+
+
 # -- pairwise Cohn products ------------------------------------------------------
 
 

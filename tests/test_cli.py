@@ -917,6 +917,19 @@ def test_endomorphism_probe_below_the_generator_degree_exits_3(roseab_file):
     assert lines_of(out)["dimension"] == "1"
 
 
+def test_a_chain_below_its_candidates_degree_exits_3_and_names_it(loopfam_file):
+    # The wrap combination the chain starts from has degree 1.
+    argv = ["module", "rangaswamy", "--graph", loopfam_file, "--period", "a", "--poly", "1,1"]
+    code, out, err = run_cli(argv + ["--probe", "chain", "--degree", "0"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a seed vector has degree 1, so a closure of it needs degree at least 1, not 0\n"
+    )
+    code, out, _ = run_cli(argv + ["--probe", "chain", "--degree", "1"])
+    assert code == 0
+    assert lines_of(out)["length"] == "2"
+
+
 def test_mantese_base_vertex_does_not_depend_on_hash_order(tmp_path):
     # e leaves u and h leaves v: without --at there is no one base vertex,
     # and the error names both, the same under every string hash seed.

@@ -45,11 +45,14 @@ from conftest import TWOLOOP_TAIL
 from oracles import (
     DenseSpan,
     dense_closure,
+    guarded_arrow_image,
     paths_by_target,
     random_ghost_element,
+    sorted_exhausts_degree,
     unpruned_ops,
     unpruned_staircase_ops,
 )
+from test_representations import every_construction
 from test_schreier import QUAT_GENS
 
 
@@ -195,6 +198,50 @@ def test_span_echelon_agrees_with_dense_span(system, rng):
         assert not set(rem) & set(ech.rows)
         assert rem == other.reduce(native)[0]
         assert dense.member(_plus(field, vec, decode(field, rem), -field.one))
+
+
+@st.composite
+def one_key_runs(draw):
+    """A field and a run of (vector, tagged) inserts over keys 0..5, most
+    of them of one key, so that they land on new and on existing pivots."""
+    field = parse_field(draw(st.sampled_from(["q", "gf:7"])))
+    scalar = st.integers(-4, 4).map(field.of).filter(bool)
+    one_key = st.builds(lambda k, c: {k: c}, st.integers(0, 5), scalar)
+    wider = st.dictionaries(st.integers(0, 5), scalar, min_size=2, max_size=3)
+    vector = st.one_of(one_key, one_key, wider)
+    return field, draw(st.lists(st.tuples(vector, st.booleans()), max_size=12))
+
+
+@given(one_key_runs())
+def test_one_key_inserts_match_elimination(run):
+    field, inserts = run
+    p = field.characteristic
+    tagged = SpanEchelon(field, lambda k: k)  # every insert tagged
+    mixed = SpanEchelon(field, lambda k: k)  # tags as drawn
+    dense = DenseSpan(field)
+    raws = []
+    for i, (vec, with_tag) in enumerate(inserts):
+        native = encode(field, vec)
+        raws.append(native)
+        # the fast path returns what elimination returns, which reads but
+        # does not write the echelon
+        want = tagged._eliminate(native, True)
+        rem, combo, pivot = tagged.insert(native, {i: 1})
+        assert (rem, combo, pivot) == want
+        recon = dict(rem)
+        for j, c in combo.items():
+            add_native(recon, raws[j], c, p)
+        assert recon == native
+        assert mixed.insert(native, {i: 1} if with_tag else None)[::2] == (rem, pivot)
+        assert (pivot is not None) == dense.insert(vec)
+        if pivot in native and len(native) == 1:
+            assert tagged.rows[pivot] == {pivot: 1}
+            assert tagged.tags[pivot] == {i: field.native_inverse(native[pivot])}
+        assert tagged.rank == mixed.rank == dense.rank
+    assert tagged.rows == mixed.rows
+    for k in range(6):
+        key = encode(field, {k: field.one})
+        assert tagged.contains(key) == mixed.contains(key) == dense.member({k: field.one})
 
 
 def handed_out(field, *vecs):
@@ -431,6 +478,31 @@ def test_window_guard_drops_ghost_images_that_leave_the_window(rose2, q):
     assert ops[f"{letter}*"](edge) is None
     inner = (Path.vertex("v"), ("off", window - 1))
     assert ops[f"{M.tail.fn(window - 1)}*"](inner) == {edge: 1}
+
+
+def test_closures_take_seeds_goals_and_members_by_their_class(rose2, roseab, q):
+    # On the Chen module of x1.(x2)^w the label x2.(x2)^w is identified with
+    # the bare slot (x2)^w, so both seeds span one closure, which holds the
+    # other's label; a goal given by the identified label stops the walk at
+    # once.
+    x2 = parse_path(rose2, "x2")
+    M = chen_module(rose2, q, periodic_word(x2, prefix=parse_path(rose2, "x1")))
+    bare = M.bare(("rot", 0))
+    named = (x2, ("rot", 0))
+    assert M.rules == {named: {bare: q.one}}
+    by_bare = cyclic_submodule(M, [{bare: q.one}], 3)
+    assert cyclic_submodule(M, [{named: q.one}], 3).dim == by_bare.dim == 8
+    assert by_bare.contains({named: q.one})
+    assert span_closure(prefix_ops(M, 3), [{bare: q.one}], goal={named: q.one}).dim == 1
+    # On a staircase quotient a word reduces by the staircase: the leading
+    # word a*.a* of the quaternion ideal's first generator is -v there.
+    gf7 = parse_field("gf:7")
+    st = SchreierStaircase(roseab, gf7, [parse_element(roseab, gf7, t) for t in QUAT_GENS], 3)
+    assert st.codimension() == ("finite", 4)
+    mod = staircase_ops(st)
+    lead = {parse_path(roseab, "a.a"): gf7.one}
+    assert span_closure(mod, [lead]).dim == 4
+    assert span_closure(mod, [mod.generator]).contains(lead)
 
 
 def test_cyclic_submodule_detects_proper_pieces(abfam, q):
@@ -679,7 +751,8 @@ def with_identity(mod):
     """mod with the identity operator of the lone vertex in front of its ops."""
     ops = [("v:identity", lambda lab: {lab: 1}), *mod.ops]
     return ModuleOps(
-        mod.field, ops, mod.generator, mod.sort_key, mod.degree_of, mod.window, mod.tables
+        mod.field, ops, mod.generator, mod.sort_key, mod.degree_of, mod.window, mod.tables,
+        mod.canonical,
     )
 
 
@@ -902,6 +975,31 @@ def test_operator_tables_hold_fresh_guarded_images(loopfam, abfam, roseab, monke
                     else:
                         assert img == fresh
                         assert fresh or img is probes.EMPTY_IMAGE
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+@pytest.mark.parametrize("window", [3, 4, 5])
+def test_arrow_tables_and_exhausts_degree_match_the_long_way(
+    rose2, roseab, sink3, roseinf, loopfam, abfam, tag, window
+):
+    # A free prepend's table leaves a label at the top degree unbuilt, and
+    # composition_probe reads exhausts_degree from the unsorted label walk;
+    # on every constructor both agree with the canonical prepend under the
+    # window guard and with the sorted scan of the labels.
+    field = parse_field(tag)
+    modules = every_construction(rose2, roseab, sink3, roseinf, loopfam, abfam, field)
+    for name, M in modules.items():
+        mod = prefix_ops(M, window)
+        ops = dict(mod.ops)
+        for lab in M.labels(window):
+            for a in M.active_arrows():
+                assert ops[str(a)](lab) == guarded_arrow_image(M, a, lab, window), name
+        rng = random.Random(f"{name}-{window}")
+        seed_sets = [chain_candidates(M), *([seed] for seed in random_seeds(M, field, rng, 3))]
+        for seeds in seed_sets:
+            report = composition_probe(M, seeds, window)
+            rows = span_closure(mod, seeds).echelon.rows
+            assert report["exhausts_degree"] == sorted_exhausts_degree(M, rows, window), name
 
 
 def pruned_modules(loopfam, abfam, roseab, sink3, field):

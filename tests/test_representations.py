@@ -674,6 +674,36 @@ def test_every_construction_satisfies_ck1_for_every_pair_of_arrows(
     assert apart
 
 
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+def test_arrows_prepend_to_the_class_and_the_walk_holds_the_labels(
+    rose2, roseab, sink3, roseinf, loopfam, abfam, tag
+):
+    # act_arrow returns the bare prepend on a module that identifies no
+    # label, and canonical_into of it on one that does: the two agree on
+    # every module, and a free prepend is one label one degree up.
+    # walk_labels holds the labels of labels, once each, unsorted.
+    field = parse_field(tag)
+    modules = every_construction(rose2, roseab, sink3, roseinf, loopfam, abfam, field)
+    assert {name for name, M in modules.items() if M.free_prepend} == {
+        "cohn_sink3", "cohn_roseinf", "rangaswamy_infinite", "mantese_abfam", "linear_abfam",
+        "hilbert",
+    }
+    for name, M in modules.items():
+        for window in (3, 4, 5):
+            walked = M.walk_labels(window)
+            assert len(set(walked)) == len(walked), name
+            assert sorted(walked, key=M.label_sort_key) == M.labels(window), name
+        for (mu, slot) in M.labels(4):
+            for a in M.active_arrows():
+                got = M.act_arrow(a, (mu, slot))
+                if a.target != mu.source:
+                    assert got == {}, name
+                    continue
+                assert got == M.canonical_into({}, mu.prepend(a), slot, 1), name
+                if M.free_prepend:
+                    assert got == {(mu.prepend(a), slot): 1}, name
+
+
 # -- ideal presentations ----------------------------------------------------------------
 
 

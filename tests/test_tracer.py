@@ -5,15 +5,15 @@ import os
 import subprocess
 import sys
 
-# The README weighted point module example, run once under the tracer.
+# A module command run once under the tracer: the graph file, then the
+# arguments after it.
 TRACED = """
 import contextlib, io, json, sys
 import leavitt, leavitt.cli
 from tracer import Tracer, instrument
 tracer = Tracer()
 instrument(leavitt, tracer)
-argv = ["module", "mantese", "--graph", sys.argv[1], "--at", "v",
-        "--weights", "a=1,b=1", "--probe", "endo"]
+argv = ["module", sys.argv[2], "--graph", sys.argv[1], *sys.argv[3:]]
 with contextlib.redirect_stdout(io.StringIO()):
     code = leavitt.cli.main(argv)
 counts = dict(tracer.counts, **{"representations.act.calls": tracer.calls["representations.act"]})
@@ -38,13 +38,14 @@ print(json.dumps({"nf": str(z), "calls": tracer.calls, "counts": tracer.counts})
 """
 
 
-def run_traced(script, graph_name):
+def run_traced(script, graph_name, *args):
     # A subprocess keeps the tracer's patches out of this test process.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     graph = os.path.join(root, "perfbench", "data", graph_name)
-    done = subprocess.run([sys.executable, "-c", script, graph], env=env, capture_output=True)
+    argv = [sys.executable, "-c", script, graph, *args]
+    done = subprocess.run(argv, env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     return json.loads(done.stdout)
 
@@ -59,13 +60,31 @@ def test_tracer_instruments_the_library():
     # act_vertex call and no insert of a row's own image.  A row made by an
     # arrow skips every ghost, whose image e*f = δ(e,f) r(f) decides; on
     # one vertex the equations those images would give are all zero.
-    result = run_traced(TRACED, "roseab.graph")
+    # The README weighted point module example.
+    argv = ["mantese", "--at", "v", "--weights", "a=1,b=1", "--probe", "endo"]
+    result = run_traced(TRACED, "roseab.graph", *argv)
     assert result["exit"] == 0
     counts = result["counts"]
     assert counts["probes.echelon.insert.calls"] == 194
     assert counts["probes.echelon.reduce.calls"] == 1
     assert counts["representations.act.calls"] == 192
     assert counts["probes.endo.equations"] == 126
+
+
+def test_tracer_pins_a_free_prepend_chain():
+    # The Rangaswamy twist on loopfam identifies no label, so an arrow only
+    # prepends: the arrow tables build no image of a label at the window's
+    # top degree, 243 of the 390 images the tables would build otherwise.
+    # exhausts_degree walks the 121 labels up to degree 4 without the
+    # traced, sorted labels(), which only the socle search still calls, on
+    # the 4 labels up to degree 1.  Every insert still reaches the echelon.
+    argv = ["rangaswamy", "--period", "a", "--poly", "1,1", "--probe", "chain", "--degree", "4"]
+    result = run_traced(TRACED, "loopfam.graph", *argv)
+    assert result["exit"] == 0
+    counts = result["counts"]
+    assert counts["representations.act.calls"] == 147
+    assert counts["representations.labels.count"] == 4
+    assert counts["probes.echelon.insert.calls"] == 127
 
 
 def test_tracer_pins_the_algebra_layer():
