@@ -4,13 +4,17 @@ Two families are built here: simple field extensions K[x]/(q) and
 quaternion algebras (c, d | K).  Both are wrapped in a small structure
 constant container that checks associativity and unitality up front, so a
 bad multiplication table fails at construction time rather than deep
-inside a staircase computation.
+inside a staircase computation.  The checks read the structure constants
+as native vectors (see leavitt.linalg) and build no element: a product
+naming a label outside the basis is refused, and a constant that is not a
+scalar of the field raises TypeError as linalg.encode does.
 """
 
 from math import gcd, isqrt, lcm
 
 from .errors import ParseError, PreconditionError
 from .fields import PrimeField, add_into, signed_sum
+from .linalg import add_native, decode, encode
 
 
 class AlgebraElement:
@@ -86,15 +90,24 @@ class StructureAlgebra:
         self.name = name
         if unit_label not in self.labels:
             raise PreconditionError("unit label missing from basis")
+        known = set(self.labels)
         self.table = {}
+        # the structure constants as native vectors (see leavitt.linalg)
+        native = {}
         for k1 in self.labels:
             for k2 in self.labels:
                 entry = table.get((k1, k2))
                 if entry is None:
                     raise PreconditionError(f"no product for ({k1}, {k2})")
-                self.table[(k1, k2)] = {k: v for k, v in entry.items() if v}
-        self._check_unit()
-        self._check_associativity()
+                vec = native[(k1, k2)] = encode(field, entry)
+                for k in vec:
+                    if k not in known:
+                        raise PreconditionError(
+                            f"the product ({k1}, {k2}) names {k!r}, not a basis label"
+                        )
+                self.table[(k1, k2)] = decode(field, vec)
+        self._check_unit(native)
+        self._check_associativity(native)
 
     def basis(self, label):
         return AlgebraElement(self, {label: self.field.one})
@@ -114,19 +127,26 @@ class StructureAlgebra:
                 raise PreconditionError(f"unknown basis label {k!r}")
         return AlgebraElement(self, {k: self.field.of(v) for k, v in coords.items()})
 
-    def _check_unit(self):
+    def _check_unit(self, native):
+        unit = self.unit_label
         for k in self.labels:
-            if self.one * self.basis(k) != self.basis(k):
+            if native[(unit, k)] != {k: 1}:
                 raise PreconditionError(f"unit fails on the left of {k}")
-            if self.basis(k) * self.one != self.basis(k):
+            if native[(k, unit)] != {k: 1}:
                 raise PreconditionError(f"unit fails on the right of {k}")
 
-    def _check_associativity(self):
+    def _check_associativity(self, native):
+        """(k1 k2) k3 = k1 (k2 k3) for every triple of basis labels, as
+        sums over m of T[k1,k2][m] T[m,k3] and of T[k2,k3][m] T[k1,m]."""
+        p = self.field.characteristic
         for k1 in self.labels:
             for k2 in self.labels:
                 for k3 in self.labels:
-                    left = (self.basis(k1) * self.basis(k2)) * self.basis(k3)
-                    right = self.basis(k1) * (self.basis(k2) * self.basis(k3))
+                    left, right = {}, {}
+                    for m, c in native[(k1, k2)].items():
+                        add_native(left, native[(m, k3)], c, p)
+                    for m, c in native[(k2, k3)].items():
+                        add_native(right, native[(k1, m)], c, p)
                     if left != right:
                         raise PreconditionError(
                             f"associativity fails on ({k1}, {k2}, {k3})"

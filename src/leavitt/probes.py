@@ -21,12 +21,16 @@ _vertex_ops, lists them for both kinds of module); only a seed walks the
 vertex operators, and no ghost walks a row made by an arrow, since the
 relations put each such image in the span already (ModuleOps.ops_after);
 on a module whose prepends are free, an arrow's image of a label at the
-window's top degree is known to leave the window and is never built; a
-row of one label that is not yet a pivot is stored without elimination
-(SpanEchelon.insert); the run of whole degrees a closure holds is read
-off its pivots and the unsorted walk of the labels; and a sample closure
-stops walking once it holds the generator, which is all the simplicity
-probe asks of it then.
+window's top degree is known to leave the window and is never built, and
+a row of one such label walks no arrow at all (ModuleOps.walk); a row of
+one label gets its operator's tabled image itself, or a copy scaled once
+when its coefficient is not 1 (ModuleOps.apply); a row of one label that
+is not yet a pivot is stored without elimination (SpanEchelon.insert);
+the commutant solve builds a row's symbolic image only when an equation
+or the composition table reads it; the run of whole degrees a closure
+holds is read off its pivots and the unsorted walk of the labels; and a
+sample closure stops walking once it holds the generator, which is all
+the simplicity probe asks of it then.
 
 Every public function and method takes and returns field scalars: vectors
 are encoded once as they come in, as Closure seeds, goals and contains
@@ -60,9 +64,17 @@ class ModuleOps:
     of the generator, a vector of field scalars, under these operators
     inside the window.  canonical maps a native vector to its class over
     the basis labels.
+
+    top_overflows is set on a module whose prepends are free: every arrow
+    then sends a label at the window's top degree past the window, or to
+    zero when it does not end at the label's base, and top_overflows(label)
+    says whether some arrow ends there.
     """
 
-    def __init__(self, field, ops, generator, sort_key, degree_of, window, tables, canonical):
+    def __init__(
+        self, field, ops, generator, sort_key, degree_of, window, tables, canonical,
+        top_overflows=None,
+    ):
         self.field = field
         self.ops = ops
         self.generator = generator
@@ -71,10 +83,13 @@ class ModuleOps:
         self.window = window
         self.tables = tables
         self.canonical = canonical
-        # the ops that rows made by a vertex or a ghost walk, and those that
-        # rows made by an arrow walk
+        self.top_overflows = top_overflows
+        # the ops that rows made by a vertex or a ghost walk, those that
+        # rows made by an arrow walk, and the ghosts, which are all that a
+        # row at the top degree made by a vertex or a ghost walks
         self._after_other = [op for op in ops if not op[0].startswith("v:")]
         self._after_arrow = [op for op in self._after_other if not op[0].endswith("*")]
+        self._ghosts = [op for op in self._after_other if op[0].endswith("*")]
 
     def ops_after(self, made_by):
         """The (name, fn) ops to walk on a row the op named made_by made.
@@ -92,8 +107,42 @@ class ModuleOps:
             return self._after_other
         return self._after_arrow
 
+    def walk(self, row, made_by):
+        """The ops to walk on row, which the op named made_by made, and
+        whether an op it skips would send the row past the window.
+
+        A row of one label at the window's top degree of a module whose
+        prepends are free walks no arrow: top_overflows already says what
+        the arrows do to it.  Every other row walks ops_after(made_by).
+        """
+        if self.top_overflows is not None and len(row) == 1:
+            (label,) = row
+            if self.degree_of(label) >= self.window:
+                if made_by is None:
+                    ops = [op for op in self.ops if op[0].startswith("v:") or op[0].endswith("*")]
+                elif made_by.startswith("v:") or made_by.endswith("*"):
+                    ops = self._ghosts
+                else:
+                    ops = ()
+                return ops, self.top_overflows(label)
+        return self.ops_after(made_by), False
+
     def apply(self, fn, vec):
-        out, p = {}, self.field.characteristic
+        """fn's image of the native vec, or None when it leaves the window.
+
+        The image of one label with coefficient 1 is fn's own, handed on
+        read-only; one label with another coefficient is scaled once.
+        """
+        p = self.field.characteristic
+        if len(vec) == 1:
+            ((label, coeff),) = vec.items()
+            img = fn(label)
+            if coeff == 1 or not img:
+                return img
+            if p:
+                return {k: c * coeff % p for k, c in img.items()}
+            return {k: c * coeff for k, c in img.items()}
+        out = {}
         for label, coeff in vec.items():
             img = fn(label)
             if img is None:
@@ -104,6 +153,10 @@ class ModuleOps:
 
 # The image of every label an operator kills: one dict, shared and never written.
 EMPTY_IMAGE = {}
+
+# An entry not built yet: a label missing from an operator's table, or a
+# symbolic image of the commutant solve.
+_MISS = object()
 
 
 def _vertex_ops(graph, act):
@@ -130,10 +183,9 @@ def _tabled(tables, name, act, arg, degree_of, window, free=False):
     table = tables[name] = {}
 
     def fn(lab):
-        try:
-            return table[lab]
-        except KeyError:
-            pass
+        img = table.get(lab, _MISS)
+        if img is not _MISS:
+            return img
         if free and degree_of(lab) >= window:
             img = None if lab[0].source == arg.target else EMPTY_IMAGE
         else:
@@ -169,9 +221,17 @@ def prefix_ops(space, window):
             space.canonical_into(acc, mu, slot, c)
         return acc
 
+    top_overflows = None
+    if free:
+        ends = {a.target for a in arrows}
+
+        def top_overflows(label):
+            return label[0].source in ends
+
     gen = space.generator_vector()
     return ModuleOps(
-        space.field, ops, gen, space.label_sort_key, degree, window, tables, canonical
+        space.field, ops, gen, space.label_sort_key, degree, window, tables, canonical,
+        top_overflows,
     )
 
 
@@ -237,9 +297,10 @@ class Closure:
         holds the goal the walk runs to completion, as it does without one.
 
         Each new row is queued with the name of the operator that made it
-        and walks mod.ops_after that name; a seed walks every operator.  A
-        row is walked whole before the rows it makes, so the images a row
-        skips are already in the span.
+        and walks the ops mod.walk gives for it; a seed walks every
+        operator but, at the window's top degree, the arrows.  A row is
+        walked whole before the rows it makes, so the images a row skips
+        are already in the span.
         """
         mod, ech = self.mod, self.echelon
         lead = None
@@ -267,7 +328,10 @@ class Closure:
                 queue.append((seed, None))
         while queue:
             row, made_by = queue.popleft()
-            for name, fn in mod.ops_after(made_by):
+            ops, overflows = mod.walk(row, made_by)
+            if overflows:
+                self.overflowed = True
+            for name, fn in ops:
                 img = mod.apply(fn, row)
                 if img is None:
                     self.overflowed = True
@@ -575,10 +639,13 @@ def endomorphism_probe(target, degree=None):
     generator itself outside that range, so that not even the identity
     could be found, raises PreconditionError.
 
-    As in Closure.extend, a row walks mod.ops_after the operator that made
-    it.  The equations the skipped operators would give are zero on a graph
+    As in Closure.extend, a row walks the ops mod.walk gives for it.  The
+    equations the skipped operators would give are zero on a graph
     with one vertex and repeat the vertex operators' on a larger one, so
-    the report is unchanged but for a lower equations count there.
+    the report is unchanged but for a lower equations count there.  An
+    arrow a skipped on a row x of one label at the top degree gives none:
+    a.x leaves the window, or a does not end at the base u of x, and then
+    a times the row's word, which begins at u, is zero.
     """
     if isinstance(target, SchreierStaircase):
         degree = target.degree if degree is None else degree
@@ -598,13 +665,42 @@ def endomorphism_probe(target, degree=None):
     field = mod.field
     p = field.characteristic
     var_index = {v: i for i, v in enumerate(variables)}
-    # Row i is the image of the generator under a word of the operators.
-    # Its symbolic image, syms[i], maps each variable to the image of the
-    # variable's label under that word, when it is nonzero: the word's
-    # image of z is the sum of z[var] * syms[i][var].  It is None when an
-    # image leaves the window.
+    # Row i is the image of the generator under a word of the operators,
+    # made from row made[i][0] by the op made[i][1].  Its symbolic image
+    # maps each variable to the image of the variable's label under that
+    # word, when it is nonzero: the word's image of z is the sum of
+    # z[var] * sym[var].  It is None when an image leaves the window.
+    # symbolic() builds it from its parent's when an equation or the
+    # composition table first reads it, and keeps it in syms.  The
+    # variables are held highest degree first, the likeliest to leave.
     rows = [encode(field, mod.generator)]
-    syms = [{v: {v: 1} for v in variables}]
+    made = [None]
+    syms = [{v: {v: 1} for v in sorted(variables, key=mod.degree_of, reverse=True)}]
+
+    def step(sym, fn):
+        """The symbolic image of the word sym stands for, followed by fn."""
+        out = {}
+        for var, vec in sym.items():
+            img = mod.apply(fn, vec)
+            if img is None:
+                return None
+            if img:
+                out[var] = img
+        return out
+
+    def symbolic(i):
+        """Row i's symbolic image, built down from its nearest built ancestor."""
+        unbuilt = []
+        while syms[i] is _MISS:
+            unbuilt.append(i)
+            i = made[i][0]
+        sym = syms[i]
+        for k in reversed(unbuilt):
+            if sym is not None:
+                sym = step(sym, made[k][1])
+            syms[k] = sym
+        return sym
+
     ech = SpanEchelon(field, mod.sort_key)
     ech.insert(rows[0], {0: 1})
     constraints = SpanEchelon(field, var_index.__getitem__)
@@ -613,39 +709,36 @@ def endomorphism_probe(target, degree=None):
     queue = deque([(0, None)])
     while queue:
         i, made_by = queue.popleft()
-        for name, fn in mod.ops_after(made_by):
+        ops, overflows = mod.walk(rows[i], made_by)
+        overflow = overflow or overflows
+        for name, fn in ops:
             img = mod.apply(fn, rows[i])
             if img is None:
                 overflow = True
                 continue
-            sym_img = None if syms[i] is None else {}
-            for var, vec in (syms[i] or {}).items():
-                out = mod.apply(fn, vec)
-                if out is None:
-                    sym_img = None
-                    break
-                if out:
-                    sym_img[var] = out
             new = len(rows)
             rel = ech.relation(img, new)
             if rel is None:
                 rows.append(img)
-                syms.append(sym_img)
+                made.append((i, fn))
+                syms.append(_MISS)
                 queue.append((new, name))
                 continue
-            # The sum of rel[j] * syms[j], where the image's own symbolic
+            # The sum of rel[j] * sym(j), where the image's own symbolic
             # image sits at the new index, must vanish: transposed, each
             # label it holds gives one equation over the variables.  They
             # come out roughly in label order, and inserted from the last
             # label back they leave the constraints less to eliminate.
-            if sym_img is None or any(syms[j] is None for j in rel if j != new):
+            sym = symbolic(i)
+            sym_img = None if sym is None else step(sym, fn)
+            if sym_img is None or any(symbolic(j) is None for j in rel if j != new):
                 continue
             total = {}
             for j, c in rel.items():
                 for var, vec in (sym_img if j == new else syms[j]).items():
                     add_native(total.setdefault(var, {}), vec, c, p)
             eqs = {}
-            for var, vec in total.items():
+            for var, vec in reversed(total.items()):
                 for lab, c in vec.items():
                     eqs.setdefault(lab, {})[var] = c
             eq_count += len(eqs)
@@ -658,7 +751,7 @@ def endomorphism_probe(target, degree=None):
         table, closes = {}, True
         for j, zj in enumerate(basis):
             rem, combo = ech.reduce(zj)
-            usable = not rem and all(syms[k] is not None for k in combo)
+            usable = not rem and all(symbolic(k) is not None for k in combo)
             for i, zi in enumerate(basis):
                 cell = None
                 if usable:

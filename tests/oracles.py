@@ -8,10 +8,12 @@ an echo.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from leavitt.algebra import Element
 from leavitt.digraph import Path, ghost_sort_key
-from leavitt.linalg import SpanEchelon, decode, encode
+from leavitt.division import AlgebraElement
+from leavitt.linalg import SpanEchelon, add_native, decode, encode
 from leavitt.probes import prefix_ops, staircase_ops
 from leavitt.representations import substitute
 from leavitt.schreier import element_to_ghost, ghost_to_element
@@ -148,11 +150,13 @@ def walk_every_op(mod):
     """mod with its pruning dropped: every row walks every operator.
 
     Closures and the commutant solve then apply the vertices after every
-    operator and the ghosts after arrows too, and do not lean on
-    v.(a.x) = δ(v,s(a)) a.x or e*f = δ(e,f) r(f): the reference that the
-    pruned walks are compared against.
+    operator, the ghosts after arrows too, and the arrows to rows at the
+    window's top degree, and do not lean on v.(a.x) = δ(v,s(a)) a.x or
+    e*f = δ(e,f) r(f): the reference that the pruned walks are compared
+    against.
     """
     mod.ops_after = lambda made_by: mod.ops
+    mod.top_overflows = None
     return mod
 
 
@@ -164,6 +168,117 @@ def unpruned_ops(space, window):
 def unpruned_staircase_ops(staircase):
     """staircase_ops, walking every operator on every row."""
     return walk_every_op(staircase_ops(staircase))
+
+
+def long_way(mod):
+    """mod with the short ways of its walk steps taken out.
+
+    apply adds every label's image into a fresh dict with add_native, the
+    one-label rows included, and every row walks the operators that
+    ops_after lists for it, arrows on rows at the window's top degree
+    included.  The pruning by the relations stays.
+    """
+    p = mod.field.characteristic
+
+    def apply(fn, vec):
+        out = {}
+        for label, coeff in vec.items():
+            img = fn(label)
+            if img is None:
+                return None
+            add_native(out, img, coeff, p)
+        return out
+
+    mod.apply = apply
+    mod.top_overflows = None
+    return mod
+
+
+def eager_endomorphism(mod, variables):
+    """The commutant solve of endomorphism_probe with every symbolic image
+    built as its row is, and the report's fields as a dict.
+
+    Each row keeps the images of every variable's label under its word
+    from the start, as the rows are walked in breadth first order over
+    mod.ops_after, and each dependent image gives the equations read off
+    its relation.  The basis is the kernel of the equations; the table
+    composes the basis images through the rows' symbolic images.
+    """
+    field = mod.field
+    p = field.characteristic
+    rows = [encode(field, mod.generator)]
+    syms = [{v: {v: 1} for v in variables}]
+    ech = SpanEchelon(field, mod.sort_key)
+    ech.insert(rows[0], {0: 1})
+    constraints = SpanEchelon(field, {v: i for i, v in enumerate(variables)}.__getitem__)
+    equations, overflowed = 0, False
+    queue = [(0, None)]
+    while queue:
+        i, made_by = queue.pop(0)
+        for name, fn in mod.ops_after(made_by):
+            img = mod.apply(fn, rows[i])
+            if img is None:
+                overflowed = True
+                continue
+            sym_img = None
+            if syms[i] is not None:
+                sym_img = {}
+                for var, vec in syms[i].items():
+                    out = mod.apply(fn, vec)
+                    if out is None:
+                        sym_img = None
+                        break
+                    if out:
+                        sym_img[var] = out
+            rel = ech.relation(img, len(rows))
+            if rel is None:
+                queue.append((len(rows), name))
+                rows.append(img)
+                syms.append(sym_img)
+                continue
+            syms_of = [*syms, sym_img]
+            if any(syms_of[j] is None for j in rel):
+                continue
+            eqs = {}
+            for j, c in rel.items():
+                for var, vec in syms_of[j].items():
+                    for lab, v in vec.items():
+                        add_native(eqs.setdefault(lab, {}), {var: v}, c, p)
+            for eq in eqs.values():
+                if eq:
+                    equations += 1
+                    constraints.insert(eq)
+    basis = constraints.kernel(variables)
+    free_vars = [v for v in variables if v not in constraints.rows]
+
+    def coords(vec):
+        got = tuple(vec.get(f, 0) for f in free_vars)
+        check = dict(vec)
+        for c, b in zip(got, basis):
+            add_native(check, b, -c, p)
+        return None if check else tuple(map(field.scalar, got))
+
+    table = None
+    if 0 < len(basis) <= 16:
+        table = {}
+        for j, zj in enumerate(basis):
+            rem, combo = ech.reduce(zj)
+            usable = not rem and all(syms[k] is not None for k in combo)
+            for i, zi in enumerate(basis):
+                image = {}
+                for k, c in combo.items() if usable else ():
+                    for var, vec in syms[k].items():
+                        add_native(image, vec, c * zi.get(var, 0), p)
+                table[(i, j)] = coords(image) if usable else None
+    return {
+        "dimension": len(basis),
+        "basis": [decode(field, z) for z in basis],
+        "table": table,
+        "unit_coords": coords(rows[0]),
+        "equations": equations,
+        "independent": constraints.rank,
+        "overflowed": overflowed,
+    }
 
 
 def guarded_arrow_image(space, arrow, label, window):
@@ -192,6 +307,38 @@ def sorted_exhausts_degree(space, pivots, window):
         if lab not in pivots:
             return space.degree(lab) - 1
     return window
+
+
+# -- structure algebras by their elements -------------------------------------------
+
+
+def element_refusal(field, labels, unit_label, table):
+    """What the unit and associativity checks of a structure algebra refuse,
+    checked on products of AlgebraElement basis elements.
+
+    table maps every pair of labels to a vector of field scalars over the
+    labels.  The unit is checked on the left and then on the right of each
+    label in turn, and then (k1 k2) k3 = k1 (k2 k3) on every triple in the
+    order of labels.  The first failure's message is returned, or None
+    when the table passes both checks.
+    """
+    products = SimpleNamespace(field=field, table=table)
+
+    def basis(label):
+        return AlgebraElement(products, {label: field.one})
+
+    one = basis(unit_label)
+    for k in labels:
+        if one * basis(k) != basis(k):
+            return f"unit fails on the left of {k}"
+        if basis(k) * one != basis(k):
+            return f"unit fails on the right of {k}"
+    for k1 in labels:
+        for k2 in labels:
+            for k3 in labels:
+                if (basis(k1) * basis(k2)) * basis(k3) != basis(k1) * (basis(k2) * basis(k3)):
+                    return f"associativity fails on ({k1}, {k2}, {k3})"
+    return None
 
 
 # -- pairwise Cohn products ------------------------------------------------------

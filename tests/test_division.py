@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leavitt import (
     StructureAlgebra,
@@ -21,7 +21,7 @@ from leavitt import (
 from leavitt.algebra import parse_element
 from leavitt.errors import ParseError, PreconditionError
 
-from oracles import gf_irreducible_brute
+from oracles import element_refusal, gf_irreducible_brute
 
 
 def test_check_poly_validates(q):
@@ -223,6 +223,72 @@ def test_structure_algebra_refuses_bad_tables(q, unit, changes, message):
         StructureAlgebra(q, ["1", "e", "n"], unit, table)
     assert info.value.exit_code == 3
     assert str(info.value) == message
+
+
+def test_structure_algebra_refuses_a_label_outside_the_basis(q):
+    # e.e = z names no basis label; the check of the products would have
+    # to look up 1.z, so it is refused where the table is read.
+    table = {**TRIANGULAR, ("e", "e"): {"z": 1}}
+    with pytest.raises(PreconditionError) as info:
+        StructureAlgebra(q, ["1", "e", "n"], "1", table)
+    assert str(info.value) == "the product (e, e) names 'z', not a basis label"
+
+
+@pytest.mark.parametrize("key, entry", [(("1", "1"), {"1": 1.0}), (("n", "e"), {"e": 0.0})])
+def test_structure_algebra_refuses_a_float_constant(q, key, entry):
+    # 1.0 and 0.0 would pass every check, as 1 and 0 do; a float is no
+    # rational, so it is refused as linalg.encode refuses it.
+    with pytest.raises(TypeError, match="float"):
+        StructureAlgebra(q, ["1", "e", "n"], "1", {**TRIANGULAR, key: entry})
+
+
+@st.composite
+def structure_tables(draw):
+    """A field and a complete table over two or three labels with unit 1:
+    a field extension, the triangular matrices or random products of the
+    other labels, with up to two products then redrawn at random, mostly
+    products of two labels other than the unit."""
+    field = parse_field(draw(st.sampled_from(["q", "gf:7"])))
+    scalars = st.integers(-3, 3).map(field.of)
+    kind = draw(st.sampled_from(["ext", "triangular", "random"]))
+    if kind == "ext":
+        low = draw(st.lists(scalars, min_size=2, max_size=3))
+        algebra = field_extension(field, [*low, field.one])
+        labels, table = algebra.labels, dict(algebra.table)
+    elif kind == "triangular":
+        labels = ["1", "e", "n"]
+        table = {key: {k: field.of(v) for k, v in entry.items()} for key, entry in TRIANGULAR.items()}
+    else:
+        labels = ["1", "x", "y"][: draw(st.integers(2, 3))]
+        table = {}
+        for k1 in labels:
+            for k2 in labels:
+                if "1" in (k1, k2):
+                    table[(k1, k2)] = {k2 if k1 == "1" else k1: field.one}
+                else:
+                    table[(k1, k2)] = draw(st.dictionaries(st.sampled_from(labels), scalars))
+    for _ in range(draw(st.integers(0, 2))):
+        # a product by the unit is redrawn one time in four
+        unit_too = draw(st.integers(0, 3)) == 0
+        key = draw(st.sampled_from([k for k in sorted(table) if unit_too or "1" not in k]))
+        table[key] = draw(st.dictionaries(st.sampled_from(labels), scalars))
+    return field, labels, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_tables())
+def test_native_checks_refuse_what_element_products_refuse(case):
+    # The unit and associativity checks read the native structure
+    # constants; products of basis elements refuse the same tables, with
+    # the same message, so the same first label or triple.
+    field, labels, table = case
+    want = element_refusal(field, labels, "1", table)
+    if want is None:
+        assert StructureAlgebra(field, labels, "1", table).dim == len(labels)
+    else:
+        with pytest.raises(PreconditionError) as info:
+            StructureAlgebra(field, labels, "1", table)
+        assert str(info.value) == want
 
 
 def test_parse_algebra_tags(q):

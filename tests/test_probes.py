@@ -45,7 +45,9 @@ from conftest import TWOLOOP_TAIL
 from oracles import (
     DenseSpan,
     dense_closure,
+    eager_endomorphism,
     guarded_arrow_image,
+    long_way,
     paths_by_target,
     random_ghost_element,
     sorted_exhausts_degree,
@@ -1086,6 +1088,108 @@ def test_staircase_walks_that_skip_vertices_match_full_walks(sink3, tag, monkeyp
     monkeypatch.setattr(probes, "staircase_ops", unpruned_staircase_ops)
     assert [report(endomorphism_probe(st)) for st in staircases] == pruned
     assert all(r[5] for r in pruned)  # every report has equations
+
+
+@pytest.mark.parametrize("tag", ["q", "gf:7"])
+@pytest.mark.parametrize("window", [3, 4, 5])
+def test_walk_steps_match_the_long_way(rose2, roseab, sink3, roseinf, loopfam, abfam, tag, window):
+    # ModuleOps.apply hands a one-label row's tabled image on, or scales it
+    # once; a one-label row at the window's top degree of a module whose
+    # prepends are free walks no arrow; and the commutant solve builds a
+    # row's symbolic image only when an equation or the table reads it.
+    # Walks that take none of these short ways (oracles.long_way and
+    # oracles.eager_endomorphism) give the same closures and the same
+    # endomorphism reports on every constructor and two quotients, and a
+    # walk seeded with coefficient 3 leaves every tabled image as built.
+    field = parse_field(tag)
+    three = field.of(3)
+    for name, M in every_construction(rose2, roseab, sink3, roseinf, loopfam, abfam, field).items():
+        fast, slow = prefix_ops(M, window), long_way(prefix_ops(M, window))
+        rng = random.Random(f"{name}-{window}")
+        samples = [[seed] for seed in random_seeds(M, field, rng, 3, window)]
+        for seeds in ([M.generator_vector()], chain_candidates(M), *samples):
+            got, want = span_closure(fast, seeds), span_closure(slow, seeds)
+            assert got.echelon.pivots() == want.echelon.pivots(), name
+            assert (got.dim, got.overflowed) == (want.dim, want.overflowed), name
+        scaled = prefix_ops(M, window)
+        gen3 = {lab: c * three for lab, c in M.generator_vector().items()}
+        # labels sort by degree first, so the last one has the top degree
+        span_closure(scaled, [gen3, {M.labels(window)[-1]: three}])
+        fresh = dict(prefix_ops(M, window).ops)
+        for op, table in scaled.tables.items():
+            assert all(img == fresh[op](lab) for lab, img in table.items()), (name, op)
+        gen_deg = max(map(M.degree, M.generator_vector()))
+        if window > gen_deg:
+            got = endomorphism_probe(M, window)
+            want = eager_endomorphism(long_way(prefix_ops(M, window)), M.labels(window - 1))
+            assert {key: getattr(got, key) for key in want} == want, name
+    assert probes.EMPTY_IMAGE == {}
+    quotients = [(sink3, ["w"]), (roseab, ["a*.a* - b* + v", "a*.b* - a*"])]
+    for graph, ideal in quotients:
+        st = SchreierStaircase(graph, field, [parse_element(graph, field, t) for t in ideal], window)
+        variables = [w for w in st.coset_basis() if len(w) < window]
+        got = endomorphism_probe(st)
+        want = eager_endomorphism(long_way(staircase_ops(st)), variables)
+        assert {key: getattr(got, key) for key in want} == want, ideal
+
+
+def test_apply_hands_on_the_tabled_image_of_one_label(loopfam, q):
+    # A row of one label with coefficient 1 gets the tabled image itself,
+    # which callers only read; one with another coefficient, or a row of
+    # two labels, gets a fresh dict, and the table keeps its image.
+    M = rangaswamy_module(loopfam, q, parse_path(loopfam, "a"), [q.one, q.one])
+    mod = prefix_ops(M, 3)
+    fn = dict(mod.ops)["a"]
+    low, high = M.labels(1)[:2]
+    img = mod.apply(fn, {low: 1})
+    assert img and img is mod.tables["a"][low]
+    assert mod.apply(fn, {low: 3}) == {lab: 3 * c for lab, c in img.items()}
+    both = mod.apply(fn, {low: 1, high: 2})
+    assert both is not img and both.items() >= img.items()
+    assert mod.tables["a"][low] == img == {lab: 1 for lab in img}
+
+
+def test_walk_step_work_on_three_benchmark_jobs(roseab, loopfam, q, monkeypatch):
+    # Pins the ModuleOps.apply calls, and the label actions behind them, of
+    # the quaternion Hilbert endo at degree 6, the Rangaswamy chain of
+    # x + 1 at degree 4 and the nonlinear twist's endo at degree 6.  On the
+    # first two prepends are free, and a row at the window's top degree
+    # walks no arrow; a symbolic image is built only when it is read, its
+    # variables highest degree first, so that the first to leave the window
+    # ends it.  With every arrow walked and every symbolic image built, the
+    # three made 7300, 369 and 486 apply calls.  Each label action still
+    # runs once per operator, the images past the window included.
+    from leavitt.representations import PrefixModule
+
+    calls = Counter()
+    for cls, name in ((ModuleOps, "apply"), (PrefixModule, "act_arrow"), (PrefixModule, "act_ghost")):
+
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    D = quaternion_algebra(q, 1, 1)
+    a, b = loops(roseab, "a", "b")
+    M = hilbert_module(roseab, q, "v", D, {a: D.basis("i"), b: D.basis("j")})
+    report = endomorphism_probe(M, 6)
+    assert (report.dimension, report.table_closes, report.equations, report.independent) == (
+        4, True, 812, 248
+    )
+    assert calls == {"apply": 1664, "act_arrow": 504, "act_ghost": 504}
+    calls.clear()
+    M = rangaswamy_module(loopfam, q, parse_path(loopfam, "a"), [q.one, q.one])
+    report = composition_probe(M, chain_candidates(M), 4)
+    assert (report["dim"], report["exhausts_degree"], report["overflowed"]) == (121, 4, True)
+    assert calls == {"apply": 207, "act_arrow": 120, "act_ghost": 25}
+    calls.clear()
+    M = linear_example_module(roseab, q, a, b, "nonlinear")
+    assert not M.free_prepend
+    report = endomorphism_probe(M, 6)
+    assert (report.dimension, report.equations, report.independent, report.overflowed) == (
+        2, 94, 46, True
+    )
+    assert calls == {"apply": 339, "act_arrow": 192, "act_ghost": 96}
 
 
 # Modules with a proper submodule, and a window at which even the socle
